@@ -1,7 +1,8 @@
 // Ingestion benchmark behind scripts/bench_ingest.sh: the barrier
-// pipeline (LoadCorpus materializes every page, then ProcessCorpus,
-// then DiscoverCandidates re-walks the tables, then a serial vocab
-// fold re-walks the tokens) vs the single-pass streaming pipeline
+// pipeline (LoadCorpus materializes every page, then the reference
+// oracle::ProcessCorpus from tests/support parses them, then
+// DiscoverCandidates re-walks the tables, then a serial vocab fold
+// re-walks the tokens) vs the single-pass streaming pipeline
 // (core/ingest.h: one read into a reused buffer, parse + tokenize +
 // tag + harvest + intern per page while it is cache-hot, one serial
 // canonicalization fold at the end).
@@ -37,6 +38,7 @@
 #include "core/ingest.h"
 #include "core/preprocess.h"
 #include "datagen/generator.h"
+#include "support/oracle.h"
 #include "text/vocab.h"
 #include "tools/args.h"
 #include "util/concurrent_interner.h"
@@ -140,7 +142,7 @@ IngestChecksums RunBarrier(const std::string& dir, int threads) {
   auto loaded = pae::core::LoadCorpus(dir);
   PAE_CHECK(loaded.ok()) << loaded.status().ToString();
   const pae::core::ProcessedCorpus corpus =
-      pae::core::ProcessCorpus(loaded.value(), threads);
+      pae::oracle::ProcessCorpus(loaded.value(), threads);
   const pae::core::CandidateSet candidates =
       pae::core::DiscoverCandidates(corpus);
   pae::text::Vocab vocab;
@@ -237,7 +239,7 @@ int main(int argc, char** argv) {
     });
     pae::core::ProcessedCorpus processed;
     const double total_parse = MinSeconds(reps, [&] {
-      processed = pae::core::ProcessCorpus(raw, 1);
+      processed = pae::oracle::ProcessCorpus(raw, 1);
     });
     pae::core::CandidateSet candidates;
     const double total_discover = MinSeconds(reps, [&] {

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/bootstrap.h"
+#include "core/ingest.h"
 #include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
@@ -96,7 +97,8 @@ std::vector<pae::core::Triple> RunCleaningArm(bool quantize_int8) {
   generator.seed = 42;
   auto crawl = pae::datagen::GenerateCategory(
       pae::datagen::CategoryId::kVacuumCleaner, generator);
-  pae::core::ProcessedCorpus corpus = pae::core::ProcessCorpus(crawl.corpus);
+  pae::core::ProcessedCorpus corpus =
+      pae::core::IngestCorpus(crawl.corpus, {}).corpus;
 
   pae::core::PipelineConfig config;
   config.iterations = 1;

@@ -67,7 +67,8 @@ const PreparedCategory& Prepare(datagen::CategoryId id,
     auto prepared = std::make_unique<PreparedCategory>();
     prepared->generated = datagen::GenerateCategory(id, generator_config);
     prepared->corpus =
-        core::ProcessCorpus(prepared->generated.corpus, options.threads);
+        core::IngestCorpus(prepared->generated.corpus, {options.threads})
+            .corpus;
     it = cache->emplace(key, std::move(prepared)).first;
   }
   return *it->second;
@@ -128,4 +129,5 @@ void MaybeWriteMetricsReport() {
   }
 }
 
-}  // namespace pae::bench
+}  // namespace pae::bench#include "core/ingest.h"
+

@@ -9,6 +9,7 @@
 
 #include "core/bootstrap.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "datagen/generator.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -40,7 +41,7 @@ int main() {
   datagen::GeneratedCategory cameras =
       datagen::GenerateCategory(datagen::CategoryId::kDigitalCameras,
                                 gen_config);
-  core::ProcessedCorpus corpus = core::ProcessCorpus(cameras.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(cameras.corpus, {}).corpus;
   std::cout << "Digital Cameras corpus: " << corpus.pages.size()
             << " product pages\n";
 

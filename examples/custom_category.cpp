@@ -10,6 +10,7 @@
 
 #include "core/bootstrap.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -101,7 +102,8 @@ int main() {
   pae::SetMinLogLevel(1);
   std::cout << "Custom 60-page 'Wine' catalog — no generator involved.\n";
   pae::core::Corpus corpus = BuildWineCorpus();
-  pae::core::ProcessedCorpus processed = pae::core::ProcessCorpus(corpus);
+  pae::core::ProcessedCorpus processed =
+      pae::core::IngestCorpus(corpus, {}).corpus;
   RunWith(pae::core::ModelType::kCrf, processed);
   RunWith(pae::core::ModelType::kBiLstm, processed);
   return 0;

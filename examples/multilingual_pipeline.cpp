@@ -7,6 +7,7 @@
 
 #include "core/bootstrap.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "datagen/generator.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -20,7 +21,7 @@ void RunOne(pae::datagen::CategoryId id) {
   gen_config.seed = 99;
   datagen::GeneratedCategory category =
       datagen::GenerateCategory(id, gen_config);
-  core::ProcessedCorpus corpus = core::ProcessCorpus(category.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(category.corpus, {}).corpus;
 
   // One pipeline configuration for every language.
   core::PipelineConfig config;

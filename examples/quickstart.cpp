@@ -10,6 +10,7 @@
 
 #include "core/bootstrap.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "datagen/generator.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -31,7 +32,7 @@ int main() {
             << " truth entries\n";
 
   // 2. Parse / tokenize / PoS-tag every page.
-  core::ProcessedCorpus corpus = core::ProcessCorpus(category.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(category.corpus, {}).corpus;
 
   // 3. Configure one bootstrap cycle with the CRF tagger.
   core::PipelineConfig config;

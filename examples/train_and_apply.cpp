@@ -10,6 +10,7 @@
 #include "core/apply.h"
 #include "core/bootstrap.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "util/logging.h"
@@ -25,7 +26,8 @@ int main() {
   reference.seed = 42;
   auto crawl_a = datagen::GenerateCategory(
       datagen::CategoryId::kBackpacks, reference);
-  core::ProcessedCorpus corpus_a = core::ProcessCorpus(crawl_a.corpus);
+  core::ProcessedCorpus corpus_a =
+      core::IngestCorpus(crawl_a.corpus, {}).corpus;
 
   core::PipelineConfig config;
   config.iterations = 2;
@@ -59,7 +61,8 @@ int main() {
   fresh.seed = 20260706;
   auto crawl_b =
       datagen::GenerateCategory(datagen::CategoryId::kBackpacks, fresh);
-  core::ProcessedCorpus corpus_b = core::ProcessCorpus(crawl_b.corpus);
+  core::ProcessedCorpus corpus_b =
+      core::IngestCorpus(crawl_b.corpus, {}).corpus;
 
   crf::CrfTagger loaded;
   if (!loaded.Load(model_path).ok()) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Ingestion benchmark: the four-phase barrier pipeline (LoadCorpus →
-# ProcessCorpus → DiscoverCandidates → serial vocab fold) vs the
+# the tests/support oracle::ProcessCorpus → DiscoverCandidates → serial
+# vocab fold) vs the
 # single-pass streaming pipeline (core/ingest.h) over the same on-disk
 # corpus, at several thread counts.
 #

@@ -1,11 +1,7 @@
 #include "core/apply.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "core/normalize.h"
-#include "crf/compiled_corpus.h"
-#include "crf/crf_tagger.h"
+#include "core/tag_filter.h"
 #include "text/negation.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -25,135 +21,53 @@ std::vector<Triple> ExtractWithModel(const text::SequenceTagger& tagger,
     std::string pair_key;
   };
   std::vector<PendingTriple> pending;
-  std::unordered_map<std::string, TaggedCandidate> candidate_map;
-  std::unordered_map<std::string, std::unordered_set<std::string>>
-      candidate_products;
+  CandidateTally candidates;
 
-  // Tag all sentences on the pool; merge the per-sentence spans in
-  // corpus order afterwards so every map fill and dedup decision matches
-  // the serial pass byte for byte.
-  struct SentRef {
-    size_t page;
-    size_t sent;
-  };
-  std::vector<SentRef> refs;
+  // Tag every sentence on the pool, then merge the kept spans in corpus
+  // order so every map fill and dedup decision matches a serial pass
+  // byte for byte.
+  std::vector<const text::LabeledSequence*> sentences;
+  std::vector<size_t> sentence_page;
   for (size_t p = 0; p < corpus.pages.size(); ++p) {
-    for (size_t s = 0; s < corpus.pages[p].sentences.size(); ++s) {
-      refs.push_back(SentRef{p, s});
+    for (const text::LabeledSequence& sentence : corpus.pages[p].sentences) {
+      sentences.push_back(&sentence);
+      sentence_page.push_back(p);
     }
   }
-  // CRF fast path: extract every sentence's features once into a
-  // compiled cache; the parallel sweep then only remaps ids and runs
-  // inference. Other tagger types fall back to per-sentence compilation.
-  const auto* crf_tagger = dynamic_cast<const crf::CrfTagger*>(&tagger);
   crf::CompiledCorpus crf_cache;
-  if (crf_tagger != nullptr && !refs.empty()) {
-    std::vector<const text::LabeledSequence*> cache_sents;
-    cache_sents.reserve(refs.size());
-    for (const SentRef& ref : refs) {
-      cache_sents.push_back(&corpus.pages[ref.page].sentences[ref.sent]);
-    }
-    crf_cache.Build(std::move(cache_sents), crf_tagger->options().features);
-    crf_cache.Bind(crf_tagger->model(), crf_tagger->Generation());
-  }
-
-  std::vector<std::vector<text::ValueSpan>> sent_spans(refs.size());
-  // Per-sentence drop tallies: each worker writes only its own slot, so
-  // the sequential sum below is deterministic and contention-free.
-  std::vector<uint8_t> negation_dropped(refs.size(), 0);
-  std::vector<uint32_t> confidence_dropped(refs.size(), 0);
   util::ThreadPool pool(util::ThreadPool::ResolveThreads(options.threads));
-  pool.ParallelFor(0, refs.size(), 8, [&](size_t i) {
-    const ProcessedPage& page = corpus.pages[refs[i].page];
-    const text::LabeledSequence& sentence = page.sentences[refs[i].sent];
-    if (options.negation_filtering && negation.IsNegated(sentence.tokens)) {
-      negation_dropped[i] = 1;
-      return;
-    }
-    text::SequenceTagger::ScoredPrediction scored;
-    if (crf_tagger != nullptr) {
-      thread_local crf::CompiledSequence compiled;
-      crf_cache.Materialize(i, &compiled);
-      scored = crf_tagger->PredictScored(compiled);
-    } else {
-      scored = tagger.PredictScored(sentence);
-    }
-    for (const text::ValueSpan& span : text::DecodeBioSpans(scored.labels)) {
-      if (options.min_span_confidence > 0) {
-        double min_conf = 1.0;
-        for (size_t k = span.begin; k < span.end; ++k) {
-          min_conf = std::min(min_conf, scored.confidence[k]);
-        }
-        if (min_conf < options.min_span_confidence) {
-          ++confidence_dropped[i];
-          continue;
-        }
-      }
-      sent_spans[i].push_back(span);
-    }
-  });
+  std::vector<FilteredSentence> filtered;
+  static_cast<TagFilterTally&>(stats) = TagAndFilter(
+      tagger, sentences, options.negation_filtering ? &negation : nullptr,
+      options.min_span_confidence, &crf_cache, &pool, &filtered);
 
-  stats.sentences = static_cast<int64_t>(refs.size());
-  for (size_t i = 0; i < refs.size(); ++i) {
-    stats.negation_dropped += negation_dropped[i];
-    stats.confidence_dropped += confidence_dropped[i];
-    stats.spans += static_cast<int64_t>(sent_spans[i].size());
-  }
-
-  for (size_t i = 0; i < refs.size(); ++i) {
-    const ProcessedPage& page = corpus.pages[refs[i].page];
-    const text::LabeledSequence& sentence = page.sentences[refs[i].sent];
-    for (const text::ValueSpan& span : sent_spans[i]) {
-      std::vector<std::string> value_tokens(
-          sentence.tokens.begin() + static_cast<long>(span.begin),
-          sentence.tokens.begin() + static_cast<long>(span.end));
-      const std::string display = corpus.Detokenize(value_tokens);
-      const std::string key =
-          PairKey(span.attribute, NormalizeValue(display));
+  SpanValue value;
+  for (size_t i = 0; i < sentences.size(); ++i) {
+    const std::string& product_id = corpus.pages[sentence_page[i]].product_id;
+    for (const text::ValueSpan& span : filtered[i].spans) {
+      ReadSpanValue(*sentences[i], span, corpus.language, &value);
       if (!options.accepted_pairs.empty() &&
-          options.accepted_pairs.count(key) == 0) {
+          options.accepted_pairs.count(value.key) == 0) {
         continue;
       }
-      pending.push_back(
-          {Triple{page.product_id, span.attribute, display}, key});
-      auto [it, inserted] = candidate_map.emplace(key, TaggedCandidate{});
-      if (inserted) {
-        it->second.attribute = span.attribute;
-        it->second.value_display = display;
-        it->second.value_tokens = std::move(value_tokens);
-      }
-      if (candidate_products[key].insert(page.product_id).second) {
-        it->second.item_count += 1;
-      }
+      pending.push_back({Triple{product_id, span.attribute, value.display},
+                         value.key});
+      candidates.Add(span.attribute, value, product_id);
     }
   }
 
   // Veto the candidate set, then keep only triples whose pair survived.
+  stats.candidates = static_cast<int64_t>(candidates.size());
   std::unordered_set<std::string> surviving;
   if (options.veto_rules) {
-    std::vector<TaggedCandidate> candidates;
-    candidates.reserve(candidate_map.size());
-    for (auto& [key, c] : candidate_map) candidates.push_back(std::move(c));
-    std::sort(candidates.begin(), candidates.end(),
-              [](const TaggedCandidate& a, const TaggedCandidate& b) {
-                if (a.item_count != b.item_count) {
-                  return a.item_count > b.item_count;
-                }
-                if (a.attribute != b.attribute) {
-                  return a.attribute < b.attribute;
-                }
-                return a.value_display < b.value_display;
-              });
-    for (const TaggedCandidate& c :
-         ApplyVetoRules(std::move(candidates), options.veto,
-                        &stats.cleaning)) {
+    for (const TaggedCandidate& c : ApplyVetoRules(
+             candidates.TakeSorted(), options.veto, &stats.cleaning)) {
       surviving.insert(
           PairKey(c.attribute, NormalizeValue(c.value_display)));
     }
     stats.candidates_vetoed =
-        static_cast<int64_t>(candidate_map.size() - surviving.size());
+        stats.candidates - static_cast<int64_t>(surviving.size());
   }
-  stats.candidates = static_cast<int64_t>(candidate_map.size());
 
   std::vector<Triple> out;
   std::unordered_set<std::string> seen;

@@ -7,6 +7,8 @@
 
 #include "core/cleaning.h"
 #include "core/document.h"
+#include "core/engine.h"
+#include "core/tag_filter.h"
 #include "core/types.h"
 #include "text/sequence_tagger.h"
 
@@ -15,11 +17,7 @@ namespace pae::core {
 /// Counters describing one ExtractWithModel pass. Filled when
 /// ApplyOptions::stats is set; the same numbers also feed the global
 /// metrics registry under `apply.*` / `cleaning.*`.
-struct ApplyStats {
-  int64_t sentences = 0;           ///< sentences considered
-  int64_t negation_dropped = 0;    ///< sentences skipped as negated
-  int64_t spans = 0;               ///< spans kept after the confidence bar
-  int64_t confidence_dropped = 0;  ///< spans below min_span_confidence
+struct ApplyStats : TagFilterTally {
   int64_t candidates = 0;          ///< distinct <attribute, value> pairs
   int64_t candidates_vetoed = 0;   ///< pairs removed by the veto rules
   int64_t triples = 0;             ///< triples emitted
@@ -31,18 +29,13 @@ struct ApplyStats {
 /// production "apply" phase — the bootstrap trains and calibrates on a
 /// reference crawl; fresh merchant pages are then tagged with the
 /// persisted model.
-struct ApplyOptions {
-  /// Drop spans whose minimum posterior confidence is below this.
-  double min_span_confidence = 0.0;
-  /// Drop spans in negated sentences (Definition 3.1).
-  bool negation_filtering = true;
+///
+/// The per-page knobs are the engine's (min_span_confidence,
+/// negation_filtering, accepted_pairs); the rest are corpus-level.
+struct ApplyOptions : EngineOptions {
   /// Apply the four §V-C veto rules to the extracted candidates.
   bool veto_rules = true;
   VetoConfig veto;
-  /// When non-empty, only <attribute, value> pairs present in this set
-  /// are emitted (keys via PairKey(attribute, NormalizeValue(value))) —
-  /// the "known catalog values" deployment mode.
-  std::unordered_set<std::string> accepted_pairs;
   /// Threads for per-sentence tagging (0 = all hardware threads,
   /// negative clamps to 1). Output is byte-identical for every thread
   /// count: predictions are collected per sentence slot and merged in
@@ -53,7 +46,13 @@ struct ApplyOptions {
   ApplyStats* stats = nullptr;
 };
 
-/// Tags every sentence of every page and returns the surviving triples.
+/// Tags every sentence of every page and returns the surviving triples:
+/// the shared tag → filter core (core/tag_filter.h) over all sentences,
+/// then the catalog filter (accepted_pairs), the corpus-level veto and
+/// a per-(product, pair) dedup, in corpus order. With veto_rules=false
+/// and distinct product ids the output equals ExtractionEngine::Extract
+/// over the pages in order (core/engine.h), for the same tagger and
+/// resources.
 std::vector<Triple> ExtractWithModel(const text::SequenceTagger& tagger,
                                      const ProcessedCorpus& corpus,
                                      const ApplyOptions& options);

@@ -7,7 +7,7 @@
 #include <unordered_set>
 
 #include "core/normalize.h"
-#include "crf/compiled_corpus.h"
+#include "core/tag_filter.h"
 #include "text/negation.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -138,6 +138,7 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
     bool negated = false;
   };
   std::vector<LabelOutcome> label_outcomes(all_sents.size());
+  SpanValue span_value;  // reused buffer for ReadSpanValue
   pool.ParallelFor(0, all_sents.size(), 16, [&](size_t i) {
     const SentRef ref = all_sents[i];
     const ProcessedPage& page = corpus.pages[ref.page];
@@ -163,11 +164,8 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
       continue;
     }
     for (const text::ValueSpan& span : text::DecodeBioSpans(seq.labels)) {
-      std::vector<std::string> value_tokens(
-          seq.tokens.begin() + static_cast<long>(span.begin),
-          seq.tokens.begin() + static_cast<long>(span.end));
-      add_triple(page.product_id, span.attribute,
-                 corpus.Detokenize(value_tokens));
+      ReadSpanValue(seq, span, corpus.language, &span_value);
+      add_triple(page.product_id, span.attribute, span_value.display);
     }
     labeled.push_back(std::move(seq));
   }
@@ -225,19 +223,16 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
 
   Rng rng(config_.seed);
 
-  // CRF fast path: the unlabeled sentence set is fixed across all
-  // Tagger–Cleaner cycles, so feature extraction happens exactly once
-  // here; each retrained tagger only rebinds feature ids (keyed on its
-  // generation counter) before the parallel tagging sweep.
-  crf::CompiledCorpus crf_cache;
-  if (config_.model == ModelType::kCrf && !unlabeled.empty()) {
-    std::vector<const text::LabeledSequence*> cache_sents;
-    cache_sents.reserve(unlabeled.size());
-    for (const SentRef& ref : unlabeled) {
-      cache_sents.push_back(&corpus.pages[ref.page].sentences[ref.sent]);
-    }
-    crf_cache.Build(std::move(cache_sents), config_.crf.features);
+  // The unlabeled sentence set is fixed across all Tagger–Cleaner
+  // cycles, so the CRF fast path extracts its features exactly once (on
+  // the first tag step); each retrained tagger only rebinds feature ids.
+  std::vector<const text::LabeledSequence*> unlabeled_sentences;
+  unlabeled_sentences.reserve(unlabeled.size());
+  for (const SentRef& ref : unlabeled) {
+    unlabeled_sentences.push_back(
+        &corpus.pages[ref.page].sentences[ref.sent]);
   }
+  crf::CompiledCorpus crf_cache;
 
   // Sentences labeled by the previous cycle's cleaned tags. Following
   // Fig. 1 line 20 (dataset = clean_ds) this portion is *replaced*
@@ -266,108 +261,29 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
     Status train_status = tagger->Train(train);
     if (!train_status.ok()) return train_status;
 
-    const crf::CrfTagger* crf_tagger = nullptr;
-    if (crf_cache.built()) {
-      auto* ct = static_cast<crf::CrfTagger*>(tagger.get());
-      crf_cache.Bind(ct->model(), ct->Generation());
-      crf_tagger = ct;
-    }
-
-    // Tag every still-unlabeled sentence.
-    struct TaggedSentence {
-      size_t unlabeled_index;
-      std::vector<std::string> labels;
-      std::vector<text::ValueSpan> spans;
-    };
-    std::vector<TaggedSentence> tagged;
-    std::unordered_map<std::string, TaggedCandidate> candidate_map;
-    std::unordered_map<std::string, std::unordered_set<std::string>>
-        candidate_products;
-
-    // Tag sentences on the pool (prediction is read-only on the model),
-    // then merge in index order so candidate discovery — and therefore
-    // every downstream map and tie-break — is independent of scheduling.
-    struct TagOutcome {
-      bool kept = false;
-      std::vector<std::string> labels;
-      std::vector<text::ValueSpan> spans;
-    };
-    std::vector<TagOutcome> tag_outcomes(unlabeled.size());
+    // Tag every still-unlabeled sentence on the pool (prediction is
+    // read-only on the model), then merge in index order so candidate
+    // discovery — and therefore every downstream map and tie-break — is
+    // independent of scheduling.
+    std::vector<FilteredSentence> tagged;
     util::ScopedTimer tag_timer(
         metrics.GetHistogram("bootstrap.tag.seconds"));
-    pool.ParallelFor(0, unlabeled.size(), 8, [&](size_t u) {
-      const SentRef ref = unlabeled[u];
-      const ProcessedPage& page = corpus.pages[ref.page];
-      const text::LabeledSequence& sentence = page.sentences[ref.sent];
-      if (drop_for_negation(sentence)) return;
-      text::SequenceTagger::ScoredPrediction scored;
-      if (crf_tagger != nullptr) {
-        thread_local crf::CompiledSequence compiled;
-        crf_cache.Materialize(u, &compiled);
-        scored = crf_tagger->PredictScored(compiled);
-      } else {
-        scored = tagger->PredictScored(sentence);
-      }
-      std::vector<text::ValueSpan> spans =
-          text::DecodeBioSpans(scored.labels);
-      if (config_.min_span_confidence > 0) {
-        std::vector<text::ValueSpan> confident;
-        for (const text::ValueSpan& span : spans) {
-          double min_conf = 1.0;
-          for (size_t k = span.begin; k < span.end; ++k) {
-            min_conf = std::min(min_conf, scored.confidence[k]);
-          }
-          if (min_conf >= config_.min_span_confidence) {
-            confident.push_back(span);
-          }
-        }
-        spans = std::move(confident);
-      }
-      if (spans.empty()) return;
-      tag_outcomes[u].kept = true;
-      tag_outcomes[u].labels = std::move(scored.labels);
-      tag_outcomes[u].spans = std::move(spans);
-    });
+    TagAndFilter(*tagger, unlabeled_sentences,
+                 config_.negation_filtering ? &negation : nullptr,
+                 config_.min_span_confidence, &crf_cache, &pool, &tagged);
     tag_timer.Stop();
 
+    CandidateTally tally;
     for (size_t u = 0; u < unlabeled.size(); ++u) {
-      if (!tag_outcomes[u].kept) continue;
-      const SentRef ref = unlabeled[u];
-      const ProcessedPage& page = corpus.pages[ref.page];
-      const text::LabeledSequence& sentence = page.sentences[ref.sent];
-      std::vector<std::string>& labels = tag_outcomes[u].labels;
-      std::vector<text::ValueSpan>& spans = tag_outcomes[u].spans;
-      for (const text::ValueSpan& span : spans) {
-        std::vector<std::string> value_tokens(
-            sentence.tokens.begin() + static_cast<long>(span.begin),
-            sentence.tokens.begin() + static_cast<long>(span.end));
-        const std::string display = corpus.Detokenize(value_tokens);
-        const std::string key =
-            PairKey(span.attribute, NormalizeValue(display));
-        auto [it, inserted] = candidate_map.emplace(key, TaggedCandidate{});
-        if (inserted) {
-          it->second.attribute = span.attribute;
-          it->second.value_display = display;
-          it->second.value_tokens = value_tokens;
-        }
-        if (candidate_products[key].insert(page.product_id).second) {
-          it->second.item_count += 1;
-        }
+      const std::string& product_id =
+          corpus.pages[unlabeled[u].page].product_id;
+      for (const text::ValueSpan& span : tagged[u].spans) {
+        ReadSpanValue(*unlabeled_sentences[u], span, corpus.language,
+                      &span_value);
+        tally.Add(span.attribute, span_value, product_id);
       }
-      tagged.push_back(TaggedSentence{u, std::move(labels), std::move(spans)});
     }
-
-    std::vector<TaggedCandidate> candidates;
-    candidates.reserve(candidate_map.size());
-    for (auto& [key, c] : candidate_map) candidates.push_back(std::move(c));
-    std::sort(candidates.begin(), candidates.end(),
-              [](const TaggedCandidate& a, const TaggedCandidate& b) {
-                if (a.item_count != b.item_count) {
-                  return a.item_count > b.item_count;
-                }
-                if (a.attribute != b.attribute) return a.attribute < b.attribute;
-                return a.value_display < b.value_display;
-              });
+    std::vector<TaggedCandidate> candidates = tally.TakeSorted();
     stats.candidate_values = candidates.size();
 
     // ---- cleaning ----
@@ -422,33 +338,29 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
       iter_triples.emplace(key, Triple{pid, attr, value});
     };
 
-    for (const TaggedSentence& ts : tagged) {
-      const SentRef ref = unlabeled[ts.unlabeled_index];
-      const ProcessedPage& page = corpus.pages[ref.page];
-      const text::LabeledSequence& sentence = page.sentences[ref.sent];
+    for (size_t u = 0; u < unlabeled.size(); ++u) {
+      if (tagged[u].spans.empty()) continue;
+      const ProcessedPage& page = corpus.pages[unlabeled[u].page];
+      const text::LabeledSequence& sentence = *unlabeled_sentences[u];
       std::vector<std::string> final_labels(sentence.tokens.size(),
                                             text::kOutsideLabel);
       bool any = false;
-      for (const text::ValueSpan& span : ts.spans) {
-        std::vector<std::string> value_tokens(
-            sentence.tokens.begin() + static_cast<long>(span.begin),
-            sentence.tokens.begin() + static_cast<long>(span.end));
-        const std::string display = corpus.Detokenize(value_tokens);
-        const std::string key =
-            PairKey(span.attribute, NormalizeValue(display));
-        if (accepted.count(key) == 0) continue;
+      for (const text::ValueSpan& span : tagged[u].spans) {
+        ReadSpanValue(sentence, span, corpus.language, &span_value);
+        if (accepted.count(span_value.key) == 0) continue;
         any = true;
         final_labels[span.begin] = text::BeginLabel(span.attribute);
         for (size_t k = span.begin + 1; k < span.end; ++k) {
           final_labels[k] = text::InsideLabel(span.attribute);
         }
-        add_iter_triple(page.product_id, span.attribute, display);
-        if (known_value_keys.insert(key).second) {
-          known_values[span.attribute].push_back(value_tokens);
+        add_iter_triple(page.product_id, span.attribute,
+                        span_value.display);
+        if (known_value_keys.insert(span_value.key).second) {
+          known_values[span.attribute].push_back(span_value.tokens);
           SeedPair pair;
           pair.attribute = span.attribute;
-          pair.value_display = display;
-          pair.value_tokens = value_tokens;
+          pair.value_display = span_value.display;
+          pair.value_tokens = span_value.tokens;
           all_values.push_back(std::move(pair));
         }
       }

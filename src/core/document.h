@@ -26,7 +26,7 @@ struct ProcessedPage {
 
 /// A fully preprocessed corpus plus the language resources needed to
 /// tokenize further strings (e.g. seed values during distant
-/// supervision).
+/// supervision). IngestCorpus / IngestCorpusDir (core/ingest.h) build it.
 struct ProcessedCorpus {
   std::string category;
   text::Language language = text::Language::kJa;
@@ -40,17 +40,7 @@ struct ProcessedCorpus {
   std::vector<std::string> Tokenize(const std::string& s) const {
     return tokenizer->Tokenize(s);
   }
-
-  /// Joins tokens back into a surface value (no separator for Japanese,
-  /// single spaces otherwise).
-  std::string Detokenize(const std::vector<std::string>& tokens) const;
 };
-
-/// Parses and linguistically preprocesses every page of `corpus`.
-/// `threads` workers parse pages concurrently (0 = all hardware
-/// threads, negative clamps to 1); each page fills its own slot, so the
-/// result is byte-identical for every thread count.
-ProcessedCorpus ProcessCorpus(const Corpus& corpus, int threads = 1);
 
 }  // namespace pae::core
 

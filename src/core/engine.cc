@@ -1,16 +1,10 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <fstream>
 
 #include "core/corpus_io.h"
 #include "core/model_artifact.h"
-#include "core/normalize.h"
-#include "crf/crf_tagger.h"
-#include "html/parser.h"
-#include "text/sentence.h"
-#include "util/strings.h"
 
 namespace pae::core {
 
@@ -65,8 +59,8 @@ ExtractionEngine::ExtractionEngine(
     const text::PosLexicon& pos_lexicon, EngineOptions options)
     : tagger_(std::move(tagger)),
       language_(language),
-      tokenizer_(text::MakeTokenizer(language, tokenizer_lexicon)),
-      pos_tagger_(std::make_unique<text::PosTagger>(language, pos_lexicon)),
+      pos_lexicon_(pos_lexicon),
+      segmenter_(language, tokenizer_lexicon, pos_lexicon_),
       negation_(language),
       options_(std::move(options)) {
   PAE_CHECK(tagger_ != nullptr);
@@ -89,78 +83,41 @@ std::vector<Triple> ExtractionEngine::Extract(
     owned = NewScratch();
     scratch = owned.get();
   }
+
+  // Front end: one streaming scan of the page, then fused sentence
+  // split + tokenize + PoS tag into reused buffers. The memo is reset
+  // first so no state crosses requests (or engine generations).
+  scratch->scanner_.Scan(html);
+  scratch->segment_.cache = {};
+  scratch->sentences_.clear();
+  segmenter_.Segment(scratch->scanner_.text(), &scratch->sentences_,
+                     &scratch->segment_);
+  scratch->sentence_ptrs_.clear();
+  for (const text::LabeledSequence& sentence : scratch->sentences_) {
+    scratch->sentence_ptrs_.push_back(&sentence);
+  }
+
+  // Tag → filter (the core ExtractWithModel runs), then the catalog
+  // filter and per-page dedup, in ExtractWithModel's visiting order.
   EngineRequestStats local;
-
-  // Request-sized preprocessing with snapshot-owned resources: parse the
-  // page, split sentences, tokenize + PoS-tag into reused buffers. The
-  // sentence structs keep their vector capacity across requests.
-  std::unique_ptr<html::HtmlNode> dom = html::ParseHtml(html);
-  const std::string raw_text = html::ExtractText(*dom);
-  size_t n_sentences = 0;
-  int sentence_index = 0;
-  for (const std::string& sentence : text::SplitSentences(raw_text)) {
-    std::vector<std::string> tokens = tokenizer_->Tokenize(sentence);
-    if (tokens.empty()) continue;
-    if (n_sentences == scratch->sentences_.size()) {
-      scratch->sentences_.emplace_back();
-    }
-    text::LabeledSequence& seq = scratch->sentences_[n_sentences++];
-    seq.tokens = std::move(tokens);
-    seq.pos = pos_tagger_->Tag(seq.tokens);
-    seq.labels.clear();
-    seq.sentence_index = sentence_index++;
-  }
-
-  // Tag → decode spans → filter → dedup, in the exact order
-  // ExtractWithModel visits a one-page corpus, so the two paths stay
-  // byte-identical for the same model generation.
-  scratch->pending_.clear();
-  for (size_t i = 0; i < n_sentences; ++i) {
-    const text::LabeledSequence& sentence = scratch->sentences_[i];
-    ++local.sentences;
-    if (options_.negation_filtering &&
-        negation_.IsNegated(sentence.tokens)) {
-      ++local.negation_dropped;
-      continue;
-    }
-    const text::SequenceTagger::ScoredPrediction scored =
-        tagger_->PredictScored(sentence);
-    for (const text::ValueSpan& span :
-         text::DecodeBioSpans(scored.labels)) {
-      if (options_.min_span_confidence > 0) {
-        double min_conf = 1.0;
-        for (size_t k = span.begin; k < span.end; ++k) {
-          min_conf = std::min(min_conf, scored.confidence[k]);
-        }
-        if (min_conf < options_.min_span_confidence) {
-          ++local.confidence_dropped;
-          continue;
-        }
-      }
-      ++local.spans;
-      scratch->value_tokens_.assign(
-          sentence.tokens.begin() + static_cast<long>(span.begin),
-          sentence.tokens.begin() + static_cast<long>(span.end));
-      const std::string display =
-          language_ == text::Language::kJa
-              ? StrJoin(scratch->value_tokens_, "")
-              : StrJoin(scratch->value_tokens_, " ");
-      std::string key = PairKey(span.attribute, NormalizeValue(display));
-      if (!options_.accepted_pairs.empty() &&
-          options_.accepted_pairs.count(key) == 0) {
-        continue;
-      }
-      scratch->pending_.push_back(Scratch::Pending{
-          Triple{std::string(product_id), span.attribute, display},
-          std::move(key)});
-    }
-  }
-
+  static_cast<TagFilterTally&>(local) = TagAndFilter(
+      *tagger_, scratch->sentence_ptrs_,
+      options_.negation_filtering ? &negation_ : nullptr,
+      options_.min_span_confidence, nullptr, nullptr, &scratch->filtered_);
   std::vector<Triple> out;
   scratch->seen_.clear();
-  for (Scratch::Pending& p : scratch->pending_) {
-    if (!scratch->seen_.insert(p.pair_key).second) continue;
-    out.push_back(std::move(p.triple));
+  SpanValue& value = scratch->value_;
+  for (size_t i = 0; i < scratch->sentences_.size(); ++i) {
+    for (const text::ValueSpan& span : scratch->filtered_[i].spans) {
+      ReadSpanValue(scratch->sentences_[i], span, language_, &value);
+      if ((!options_.accepted_pairs.empty() &&
+           options_.accepted_pairs.count(value.key) == 0) ||
+          !scratch->seen_.insert(value.key).second) {
+        continue;
+      }
+      out.push_back(
+          Triple{std::string(product_id), span.attribute, value.display});
+    }
   }
   local.triples = static_cast<int64_t>(out.size());
 
@@ -170,10 +127,9 @@ std::vector<Triple> ExtractionEngine::Extract(
   return out;
 }
 
-Result<std::shared_ptr<const ExtractionEngine>> LoadCrfEngine(
-    const std::string& model_path, const std::string& resources_dir,
-    EngineOptions options, bool load_accepted_pairs) {
-  auto tagger = std::make_shared<crf::CrfTagger>();
+Result<LoadedCrfModel> LoadCrfModel(const std::string& model_path) {
+  LoadedCrfModel loaded;
+  loaded.tagger = std::make_shared<crf::CrfTagger>();
   if (IsPaezFile(model_path)) {
     // Zero-copy path: map the artifact and bind views in place. The only
     // model-sized bytes this publishes are shared file pages, which the
@@ -184,24 +140,30 @@ Result<std::shared_ptr<const ExtractionEngine>> LoadCrfEngine(
     Result<crf::PackedCrfModel> packed =
         MakePackedCrfModel(std::move(artifact).value());
     if (!packed.ok()) return packed.status();
-    PAE_RETURN_IF_ERROR(tagger->LoadPacked(std::move(packed).value()));
+    PAE_RETURN_IF_ERROR(loaded.tagger->LoadPacked(std::move(packed).value()));
   } else {
-    PAE_RETURN_IF_ERROR(tagger->Load(model_path));
+    PAE_RETURN_IF_ERROR(loaded.tagger->Load(model_path));
   }
+  std::ifstream pairs(model_path + ".pairs");
+  for (std::string line; std::getline(pairs, line);) {
+    if (!line.empty()) loaded.accepted_pairs.insert(line);
+  }
+  return loaded;
+}
 
+Result<std::shared_ptr<const ExtractionEngine>> LoadCrfEngine(
+    const std::string& model_path, const std::string& resources_dir,
+    EngineOptions options, bool load_accepted_pairs) {
+  Result<LoadedCrfModel> model = LoadCrfModel(model_path);
+  if (!model.ok()) return model.status();
   Result<CorpusResources> resources = LoadCorpusResources(resources_dir);
   if (!resources.ok()) return resources.status();
-
   if (load_accepted_pairs && options.accepted_pairs.empty()) {
-    std::ifstream pairs(model_path + ".pairs");
-    for (std::string line; std::getline(pairs, line);) {
-      if (!line.empty()) options.accepted_pairs.insert(line);
-    }
+    options.accepted_pairs = std::move(model.value().accepted_pairs);
   }
-
   return std::shared_ptr<const ExtractionEngine>(
       std::make_shared<ExtractionEngine>(
-          std::move(tagger), resources.value().language,
+          std::move(model.value().tagger), resources.value().language,
           resources.value().tokenizer_lexicon,
           resources.value().pos_lexicon, std::move(options)));
 }

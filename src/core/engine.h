@@ -8,23 +8,25 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/tag_filter.h"
 #include "core/types.h"
+#include "crf/crf_tagger.h"
+#include "html/stream_scanner.h"
+#include "text/fused_segmenter.h"
 #include "text/labeled_sequence.h"
 #include "text/negation.h"
 #include "text/pos_tagger.h"
 #include "text/sequence_tagger.h"
-#include "text/tokenizer.h"
 #include "util/metrics.h"
 #include "util/status.h"
 
 namespace pae::core {
 
-/// Per-request extraction knobs. The subset of ApplyOptions that makes
-/// sense for one page at a time: the veto rules are corpus-level
-/// statistics (item counts across products) and are therefore a
-/// bootstrap-time concern — a serving engine runs in the "known catalog
-/// values" deployment mode (accepted_pairs) the paper describes for
-/// production, or unfiltered.
+/// Per-page extraction knobs, which ApplyOptions extends with the
+/// corpus-level ones: the veto rules are corpus-level statistics (item
+/// counts across products) and are therefore a bootstrap-time concern —
+/// a serving engine runs in the "known catalog values" deployment mode
+/// (accepted_pairs) the paper describes for production, or unfiltered.
 struct EngineOptions {
   /// Drop spans whose minimum posterior confidence is below this.
   double min_span_confidence = 0.0;
@@ -43,34 +45,38 @@ struct EngineOptions {
 std::vector<double> RequestLatencyBounds();
 
 /// Telemetry for one ExtractionEngine::Extract call.
-struct EngineRequestStats {
-  int64_t sentences = 0;
-  int64_t negation_dropped = 0;
-  int64_t spans = 0;
-  int64_t confidence_dropped = 0;
+struct EngineRequestStats : TagFilterTally {
   int64_t triples = 0;
 };
 
 /// An immutable extraction snapshot: one trained SequenceTagger plus the
-/// language resources (tokenizer, PoS tagger, negation cues) and request
+/// language resources (segmenter lexicons, negation cues) and request
 /// options needed to turn a raw product page into triples.
 ///
 /// Engines are the unit of model hot-swap in pae-serve: a new model is
 /// loaded into a fresh engine and published behind the generation
 /// pointer while in-flight requests keep using the old one. Everything
 /// model-sized — the tagger's weights and feature dictionary, the
-/// tokenizer lexicon trie, the PoS dictionary — is allocated exactly
-/// once, at construction; `Extract` is const, thread-safe, and performs
-/// only request-sized work against per-worker `Scratch` buffers (the
-/// CRF's feature-encoding scratch is thread-local inside CrfTagger, so
-/// each server worker reuses one encoder across every request it
-/// serves).
+/// segmenter's lexicon, the PoS dictionary — is allocated exactly once,
+/// at construction; `Extract` is const, thread-safe, and performs only
+/// request-sized work against per-worker `Scratch` buffers (the CRF's
+/// feature-encoding scratch is thread-local inside CrfTagger, so each
+/// server worker reuses one encoder across every request it serves).
+///
+/// A request runs the ingestion front end — html::StreamScanner, then
+/// text::FusedSegmenter — and then the shared tag → filter core
+/// (core/tag_filter.h). The segmenter's sentence memo lives in the
+/// Scratch and is reset at the start of every request, so no request
+/// can observe another's pages and a Scratch's memory stays bounded by
+/// one page.
 ///
 /// Byte-equality contract: for the same model generation and the same
 /// options, `Extract(product_id, html)` returns exactly the triples
-/// ExtractWithModel(tagger, ProcessCorpus(one-page corpus),
-/// options with veto_rules=false) returns — tests/serve_test.cc holds
-/// the two paths together.
+/// ExtractWithModel(tagger, IngestCorpus(one-page corpus).corpus,
+/// options with veto_rules=false) returns. tests/serve_test.cc holds the
+/// two paths together, and also holds Extract equal to the DOM reference
+/// front end (ParseHtml → ExtractText → SplitSentences → Tokenize → Tag)
+/// on randomized tag soup.
 class ExtractionEngine {
  public:
   /// Builds a snapshot. `tagger` must already be trained; the lexicons
@@ -103,14 +109,13 @@ class ExtractionEngine {
     friend class ExtractionEngine;
     Scratch();
 
+    html::StreamScanner scanner_;
+    text::FusedSegmenter::Scratch segment_;
     std::vector<text::LabeledSequence> sentences_;
-    struct Pending {
-      Triple triple;
-      std::string pair_key;
-    };
-    std::vector<Pending> pending_;
+    std::vector<const text::LabeledSequence*> sentence_ptrs_;
+    std::vector<FilteredSentence> filtered_;
+    SpanValue value_;
     std::unordered_set<std::string> seen_;
-    std::vector<std::string> value_tokens_;
   };
 
   static std::unique_ptr<Scratch> NewScratch();
@@ -131,8 +136,10 @@ class ExtractionEngine {
  private:
   std::shared_ptr<const text::SequenceTagger> tagger_;
   text::Language language_;
-  std::unique_ptr<text::Tokenizer> tokenizer_;
-  std::unique_ptr<text::PosTagger> pos_tagger_;
+  /// Owned copy: segmenter_ reads it per token (declared first so it
+  /// outlives the segmenter).
+  text::PosLexicon pos_lexicon_;
+  text::FusedSegmenter segmenter_;
   text::NegationDetector negation_;
   EngineOptions options_;
   /// Hot-path metric handles resolved once (registry pointers are
@@ -142,16 +149,26 @@ class ExtractionEngine {
   util::Histogram* latency_histogram_;
 };
 
-/// Loads a persisted CRF model plus the corpus language resources under
-/// `resources_dir` (manifest.tsv / lexicon.txt / pos_lexicon.tsv, the
-/// SaveCorpus layout) into a fresh engine. The model format is sniffed
-/// from the file's magic: a `.paez` artifact (pae-model-pack) is mmap'ed
-/// and used in place — microsecond loads, pages shared across processes
-/// — while a legacy CrfTagger::Save file takes the copying parse path.
-/// Both yield byte-identical predictions for the same model. When
-/// `load_accepted_pairs` is true, `model_path + ".pairs"` — the known
-/// catalog values emitted next to a saved model — is read into
-/// options.accepted_pairs when present.
+/// A persisted CRF model as the loaders read it.
+struct LoadedCrfModel {
+  std::shared_ptr<crf::CrfTagger> tagger;
+  /// `model_path + ".pairs"` — the known catalog values saved next to
+  /// the model — or empty when that file is absent.
+  std::unordered_set<std::string> accepted_pairs;
+};
+
+/// Reads a CRF model file. The format is sniffed from the file's magic:
+/// a `.paez` artifact (pae-model-pack) is mmap'ed and used in place —
+/// microsecond loads, pages shared across processes — while a legacy
+/// CrfTagger::Save file takes the copying parse path. Both yield
+/// byte-identical predictions for the same model.
+Result<LoadedCrfModel> LoadCrfModel(const std::string& model_path);
+
+/// Loads a persisted CRF model (LoadCrfModel) plus the corpus language
+/// resources under `resources_dir` (manifest.tsv / lexicon.txt /
+/// pos_lexicon.tsv, the SaveCorpus layout) into a fresh engine. When
+/// `load_accepted_pairs` is true and options.accepted_pairs is empty,
+/// the model's `.pairs` file fills it.
 Result<std::shared_ptr<const ExtractionEngine>> LoadCrfEngine(
     const std::string& model_path, const std::string& resources_dir,
     EngineOptions options, bool load_accepted_pairs = true);

@@ -13,11 +13,13 @@
 namespace pae::core {
 
 /// Everything one streaming pass over the pages produces. The barrier
-/// pipeline computes the same three artifacts in four separate phases
-/// (LoadCorpus → ProcessCorpus → DiscoverCandidates → a serial vocab
-/// fold); the contract here is byte-equality with that path:
+/// reference (tests/support/oracle.h) computes the same three artifacts
+/// in four separate phases (LoadCorpus → oracle::ProcessCorpus →
+/// DiscoverCandidates → a serial vocab fold); the contract here is
+/// byte-equality with that path:
 ///
-///   * `corpus`      == ProcessCorpus(LoadCorpus(dir)) field for field,
+///   * `corpus`      == oracle::ProcessCorpus(LoadCorpus(dir)) field for
+///                      field,
 ///   * `candidates`  == DiscoverCandidates(corpus),
 ///   * `token_vocab` == Vocab built by GetOrAdd over every token in
 ///                      page-major order,

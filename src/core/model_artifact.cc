@@ -1,6 +1,10 @@
 #include "core/model_artifact.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <span>
@@ -32,6 +36,30 @@ struct PendingSection {
   uint32_t align = 1;
   std::string payload;
 };
+
+/// Replaces `path` with `bytes` without ever truncating it: the bytes go
+/// to a fresh file in the same directory, which is fsync'ed and then
+/// renamed over `path`. A process that has the old artifact mapped (a
+/// serving daemon) keeps reading the old inode; truncating in place
+/// would SIGBUS it on the next page past the new end of file.
+Status PublishFile(const std::string& bytes, const std::string& path) {
+  static std::atomic<uint64_t> sequence{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+  std::FILE* file = std::fopen(tmp.c_str(), "wbx");
+  if (file == nullptr) {
+    return Status::Internal("paez: cannot open " + tmp + " for write");
+  }
+  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size() &&
+            std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
+  ok = std::fclose(file) == 0 && ok;
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("paez: failed writing " + path);
+  }
+  return Status::Ok();
+}
 
 /// Lays out `pending` after the header + table, writes the file.
 Status WriteArtifact(uint64_t flags, std::vector<PendingSection> pending,
@@ -66,16 +94,7 @@ Status WriteArtifact(uint64_t flags, std::vector<PendingSection> pending,
   }
   PAE_CHECK_EQ(file.size(), cursor);
 
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::Internal("paez: cannot open " + out_path + " for write");
-  }
-  out.write(file.data(), static_cast<std::streamsize>(file.size()));
-  out.flush();
-  if (!out) {
-    return Status::Internal("paez: failed writing " + out_path);
-  }
-  return Status::Ok();
+  return PublishFile(file, out_path);
 }
 
 std::string PackLabels(const std::vector<std::string>& labels) {

@@ -144,7 +144,10 @@ struct PackOptions {
 /// Packs a trained CRF tagger (and optionally embeddings) into a
 /// `.paez` artifact at `out_path`. Deterministic: the same model bytes
 /// always produce the same file. The tagger must be legacy-loaded or
-/// freshly trained (not itself packed).
+/// freshly trained (not itself packed). An existing `out_path` is
+/// replaced, never truncated: the bytes go to a temporary file in the
+/// same directory that is fsync'ed and renamed over it, so a process
+/// that has the old artifact mapped keeps reading the old bytes.
 Status PackModelArtifact(const crf::CrfTagger& tagger,
                          const embed::Word2Vec* embeddings,
                          const PackOptions& options,

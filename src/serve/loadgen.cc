@@ -189,11 +189,12 @@ Result<LoadgenReport> RunLoadgen(
             i >= static_cast<size_t>(options.warmup_requests);
         const auto sent_at = std::chrono::steady_clock::now();
         ++tally.sent;
+        bool ok = false;
         if (slot.is_extract) {
           Result<ExtractResponse> response =
               client.Extract(product.product_id, product.html);
-          if (response.ok()) {
-            ++tally.ok;
+          ok = response.ok();
+          if (ok) {
             const ExtractResponse& r = response.value();
             tally.triples += r.triples.size();
             for (const core::Triple& triple : r.triples) {
@@ -212,20 +213,20 @@ Result<LoadgenReport> RunLoadgen(
             ++tally.errors;
           }
         } else {
-          Result<PingResponse> response = client.Ping();
-          if (response.ok()) {
-            ++tally.ok;
-          } else {
-            ++tally.transport_errors;
-          }
+          ok = client.Ping().ok();
+          if (!ok) ++tally.transport_errors;
         }
+        if (ok) ++tally.ok;
         if (measured) {
-          const double seconds =
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - sent_at)
-                  .count();
-          ObserveLatency(&tally.buckets, bounds, seconds);
-          tally.max_seconds = std::max(tally.max_seconds, seconds);
+          // Failed requests are not latencies of served work.
+          if (ok) {
+            const double seconds =
+                std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - sent_at)
+                    .count();
+            ObserveLatency(&tally.buckets, bounds, seconds);
+            tally.max_seconds = std::max(tally.max_seconds, seconds);
+          }
           int64_t expected = 0;
           measured_start_ns.compare_exchange_strong(
               expected,
@@ -274,21 +275,22 @@ Result<LoadgenReport> RunLoadgen(
       options.warmup_requests > 0
           ? std::max(total_elapsed - measured_offset, 1e-9)
           : total_elapsed;
-  uint64_t measured_count = 0;
-  for (uint64_t c : report.bucket_counts) measured_count += c;
+  // Only OK responses are observed, so QPS counts successful work, and
+  // an interpolated quantile is clamped to the largest observed latency.
+  uint64_t measured_ok = 0;
+  for (uint64_t c : report.bucket_counts) measured_ok += c;
   report.qps = report.elapsed_seconds > 0
-                   ? static_cast<double>(measured_count) /
+                   ? static_cast<double>(measured_ok) /
                          report.elapsed_seconds
                    : 0;
-  report.p50_seconds = QuantileFromBuckets(report.bounds,
-                                           report.bucket_counts, 0.50,
-                                           &report.saturated);
-  report.p95_seconds = QuantileFromBuckets(report.bounds,
-                                           report.bucket_counts, 0.95,
-                                           &report.saturated);
-  report.p99_seconds = QuantileFromBuckets(report.bounds,
-                                           report.bucket_counts, 0.99,
-                                           &report.saturated);
+  auto quantile = [&](double q) {
+    return std::min(QuantileFromBuckets(report.bounds, report.bucket_counts,
+                                        q, &report.saturated),
+                    report.max_seconds);
+  };
+  report.p50_seconds = quantile(0.50);
+  report.p95_seconds = quantile(0.95);
+  report.p99_seconds = quantile(0.99);
   return report;
 }
 

@@ -61,7 +61,10 @@ struct LoadgenReport {
   uint64_t generation_min = 0;
   uint64_t generation_max = 0;
 
-  /// Measured (post-warmup) phase only.
+  /// Measured (post-warmup) phase only. QPS and the latency fields
+  /// count OK responses only (a failed request is not served work), and
+  /// each quantile is clamped to max_seconds, so
+  /// p50 <= p95 <= p99 <= max always holds.
   double elapsed_seconds = 0;
   double qps = 0;
   double p50_seconds = 0;
@@ -73,7 +76,7 @@ struct LoadgenReport {
   /// and therefore underestimates the true latency.
   bool saturated = false;
   /// "le" latency buckets (core::RequestLatencyBounds upper bounds +
-  /// one overflow slot), measured phase only.
+  /// one overflow slot), measured-phase OK responses only.
   std::vector<double> bounds;
   std::vector<uint64_t> bucket_counts;
 };

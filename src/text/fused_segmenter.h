@@ -31,11 +31,12 @@ namespace pae::text {
 /// machines over it. Product pages are heavily templated, so most
 /// sentences recur corpus-wide and the common case is a memo hit that
 /// copies byte-identical results. It is the text half of the streaming
-/// ingestion hot path (core/ingest.h).
+/// ingestion hot path (core/ingest.h) and of the serving engine
+/// (core/engine.h), which resets the memo per request.
 ///
 /// Equivalence contract, enforced by tests/stream_scanner_test.cc with
 /// randomized differentials: Segment(text) produces exactly the
-/// LabeledSequences that ProcessCorpus's loop
+/// LabeledSequences that the reference loop (tests/support/oracle.h)
 ///   for s in SplitSentences(text): tokens = Tokenize(s);
 ///     if empty continue; pos = Tag(tokens); sentence_index++
 /// produces, byte for byte, for both languages.

@@ -8,6 +8,7 @@
 #include "core/apply.h"
 #include "core/bootstrap.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "core/normalize.h"
 #include "datagen/generator.h"
 
@@ -54,7 +55,7 @@ core::ProcessedCorpus TinyCorpus() {
   p2.product_id = "p2";
   p2.html = "<p>色は赤ではありません。</p>";  // negated
   corpus.pages = {p1, p2};
-  return core::ProcessCorpus(corpus);
+  return core::IngestCorpus(corpus, {}).corpus;
 }
 
 TEST(ApplyTest, ExtractsSpansAsTriples) {
@@ -107,7 +108,7 @@ TEST(ApplyTest, DuplicateTriplesDeduplicated) {
   page.product_id = "p1";
   page.html = "<p>赤です。</p><p>赤です。</p>";  // two mentions
   corpus.pages = {page};
-  core::ProcessedCorpus processed = core::ProcessCorpus(corpus);
+  core::ProcessedCorpus processed = core::IngestCorpus(corpus, {}).corpus;
   RedTagger tagger(0.9);
   core::ApplyOptions options;
   EXPECT_EQ(core::ExtractWithModel(tagger, processed, options).size(), 1u);
@@ -121,7 +122,8 @@ TEST(ApplyTest, TrainPersistApplyOnFreshCrawl) {
   gen_a.seed = 42;
   auto crawl_a = datagen::GenerateCategory(
       datagen::CategoryId::kVacuumCleaner, gen_a);
-  core::ProcessedCorpus corpus_a = core::ProcessCorpus(crawl_a.corpus);
+  core::ProcessedCorpus corpus_a =
+      core::IngestCorpus(crawl_a.corpus, {}).corpus;
 
   core::PipelineConfig config;
   config.iterations = 1;
@@ -139,7 +141,8 @@ TEST(ApplyTest, TrainPersistApplyOnFreshCrawl) {
   gen_b.seed = 4242;
   auto crawl_b = datagen::GenerateCategory(
       datagen::CategoryId::kVacuumCleaner, gen_b);
-  core::ProcessedCorpus corpus_b = core::ProcessCorpus(crawl_b.corpus);
+  core::ProcessedCorpus corpus_b =
+      core::IngestCorpus(crawl_b.corpus, {}).corpus;
 
   core::ApplyOptions apply;
   apply.accepted_pairs.insert(trained.value().known_pair_keys.begin(),

@@ -15,6 +15,7 @@
 #include "core/apply.h"
 #include "core/bootstrap.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "embed/word2vec.h"
@@ -33,7 +34,7 @@ core::ProcessedCorpus MakeCorpus(int threads = 1) {
   config.seed = 11;
   datagen::GeneratedCategory category =
       datagen::GenerateCategory(datagen::CategoryId::kVacuumCleaner, config);
-  return core::ProcessCorpus(category.corpus,threads);
+  return core::IngestCorpus(category.corpus, {threads}).corpus;
 }
 
 core::PipelineConfig SmallConfig(int threads) {
@@ -56,9 +57,9 @@ TEST(ConcurrencyTest, ProcessCorpusIdenticalAcrossThreadCounts) {
   datagen::GeneratedCategory category =
       datagen::GenerateCategory(datagen::CategoryId::kGarden, config);
   const core::ProcessedCorpus serial =
-      core::ProcessCorpus(category.corpus,1);
+      core::IngestCorpus(category.corpus, {1}).corpus;
   const core::ProcessedCorpus parallel =
-      core::ProcessCorpus(category.corpus,4);
+      core::IngestCorpus(category.corpus, {4}).corpus;
   ASSERT_EQ(serial.pages.size(), parallel.pages.size());
   for (size_t p = 0; p < serial.pages.size(); ++p) {
     const auto& a = serial.pages[p];

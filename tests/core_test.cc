@@ -5,8 +5,10 @@
 #include "core/cleaning.h"
 #include "core/document.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "core/normalize.h"
 #include "core/preprocess.h"
+#include "core/tag_filter.h"
 #include "core/tagging.h"
 #include "core/types.h"
 #include "util/rng.h"
@@ -286,7 +288,7 @@ TEST(SemanticCleanerTest, RemovesDriftedValues) {
                 "<p>blume hat form rosette und blatt stern garten.</p>";
     corpus.pages.push_back(std::move(page));
   }
-  ProcessedCorpus processed = ProcessCorpus(corpus);
+  ProcessedCorpus processed = IngestCorpus(corpus, {}).corpus;
 
   SemanticCleaner::Config config;
   config.threshold = 0.5;
@@ -322,7 +324,7 @@ TEST(SemanticCleanerTest, SmallCoreSkipsFiltering) {
   page.product_id = "p";
   page.html = "<p>a b c d e f g h.</p>";
   corpus.pages.assign(30, page);
-  ProcessedCorpus processed = ProcessCorpus(corpus);
+  ProcessedCorpus processed = IngestCorpus(corpus, {}).corpus;
   SemanticCleaner cleaner(SemanticCleaner::Config{});
   ASSERT_TRUE(cleaner.Train(processed, {}).ok());
   std::unordered_map<std::string, std::vector<std::vector<std::string>>>
@@ -351,7 +353,7 @@ TEST(SemanticCleanerTest, CachedNormScoringMatchesPerPairCosines) {
                 "<p>blume hat form rosette und blatt stern garten.</p>";
     corpus.pages.push_back(std::move(page));
   }
-  ProcessedCorpus processed = ProcessCorpus(corpus);
+  ProcessedCorpus processed = IngestCorpus(corpus, {}).corpus;
 
   SemanticCleaner::Config config;
   config.threshold = 0.5;
@@ -514,7 +516,7 @@ TEST(DocumentTest, ProcessesPagesIntoSentences) {
       "<table><tr><th>重量</th><td>5kg</td></tr>"
       "<tr><th>色</th><td>赤</td></tr></table></body></html>";
   corpus.pages.push_back(page);
-  ProcessedCorpus processed = ProcessCorpus(corpus);
+  ProcessedCorpus processed = IngestCorpus(corpus, {}).corpus;
   ASSERT_EQ(processed.pages.size(), 1u);
   EXPECT_EQ(processed.pages[0].tables.size(), 1u);
   ASSERT_FALSE(processed.pages[0].sentences.empty());
@@ -524,14 +526,18 @@ TEST(DocumentTest, ProcessesPagesIntoSentences) {
 }
 
 TEST(DocumentTest, DetokenizeByLanguage) {
-  Corpus ja;
-  ja.language = text::Language::kJa;
-  ProcessedCorpus pj = ProcessCorpus(ja);
-  EXPECT_EQ(pj.Detokenize({"a", "b"}), "ab");
-  Corpus de;
-  de.language = text::Language::kDe;
-  ProcessedCorpus pd = ProcessCorpus(de);
-  EXPECT_EQ(pd.Detokenize({"a", "b"}), "a b");
+  // A span's surface value joins its tokens without a separator for
+  // Japanese and with single spaces otherwise.
+  text::LabeledSequence sentence;
+  sentence.tokens = {"x", "a", "b"};
+  const text::ValueSpan span{"attr", 1, 3};
+  SpanValue value;
+  ReadSpanValue(sentence, span, text::Language::kJa, &value);
+  EXPECT_EQ(value.tokens, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(value.display, "ab");
+  ReadSpanValue(sentence, span, text::Language::kDe, &value);
+  EXPECT_EQ(value.display, "a b");
+  EXPECT_EQ(value.key, PairKey("attr", NormalizeValue("a b")));
 }
 
 }  // namespace

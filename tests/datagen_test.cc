@@ -5,13 +5,14 @@
 #include <unordered_set>
 
 #include "core/document.h"
-#include "text/char_class.h"
-#include "text/utf8.h"
+#include "core/ingest.h"
 #include "core/normalize.h"
 #include "datagen/generator.h"
 #include "datagen/schema.h"
 #include "datagen/word_factory.h"
 #include "html/parser.h"
+#include "text/char_class.h"
+#include "text/utf8.h"
 #include "util/rng.h"
 
 namespace pae::datagen {
@@ -302,7 +303,7 @@ TEST(GeneratorTest, TokenizedPagesRoundTripValues) {
   // values: tokenize a known correct truth value and ensure its token
   // sequence appears in the page's sentences.
   GeneratedCategory cat = SmallCategory(CategoryId::kLadiesBags, 33);
-  core::ProcessedCorpus corpus = core::ProcessCorpus(cat.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(cat.corpus, {}).corpus;
   std::unordered_map<std::string, const core::ProcessedPage*> by_id;
   for (const auto& page : corpus.pages) by_id[page.product_id] = &page;
 

@@ -8,6 +8,7 @@
 #include "core/bootstrap.h"
 #include "core/ensemble.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "lstm/bilstm_tagger.h"
@@ -148,7 +149,7 @@ TEST(EnsembleTest, IntersectionTradesCoverageForPrecision) {
   gen.seed = 42;
   auto category =
       datagen::GenerateCategory(datagen::CategoryId::kLadiesBags, gen);
-  core::ProcessedCorpus corpus = core::ProcessCorpus(category.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(category.corpus, {}).corpus;
 
   auto intersect =
       RunModel(category, corpus, core::ModelType::kEnsembleIntersection);
@@ -191,7 +192,7 @@ TEST(ConfidenceTest, ThresholdMonotonicallyReducesTriples) {
   gen.seed = 11;
   auto category =
       datagen::GenerateCategory(datagen::CategoryId::kKitchen, gen);
-  core::ProcessedCorpus corpus = core::ProcessCorpus(category.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(category.corpus, {}).corpus;
 
   size_t previous = SIZE_MAX;
   for (double threshold : {0.0, 0.7, 0.95}) {

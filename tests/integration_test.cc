@@ -5,6 +5,7 @@
 
 #include "core/bootstrap.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "datagen/generator.h"
 
 namespace pae {
@@ -40,7 +41,7 @@ struct RunOutput {
 
 RunOutput RunPipeline(const datagen::GeneratedCategory& category,
               const PipelineConfig& config) {
-  core::ProcessedCorpus corpus = core::ProcessCorpus(category.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(category.corpus, {}).corpus;
   Pipeline pipeline(config);
   Result<PipelineResult> result = pipeline.Run(corpus);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -106,7 +107,7 @@ TEST(PipelineIntegrationTest, DiversificationRecoversDecimalWeights) {
   PipelineConfig without = BaseConfig(1);
   without.preprocess.enable_diversification = false;
 
-  core::ProcessedCorpus corpus = core::ProcessCorpus(category.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(category.corpus, {}).corpus;
   core::Seed seed_with = core::BuildSeed(corpus, with.preprocess);
   core::Seed seed_without = core::BuildSeed(corpus, without.preprocess);
 
@@ -143,7 +144,7 @@ TEST(PipelineIntegrationTest, SpecializedModelRaisesAttributeCoverage) {
   // §VIII-D / Fig. 7: a model restricted to a low-coverage attribute
   // subset raises that attribute's coverage.
   auto category = Generate(datagen::CategoryId::kDigitalCameras, 250);
-  core::ProcessedCorpus corpus = core::ProcessCorpus(category.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(category.corpus, {}).corpus;
 
   PipelineConfig global = BaseConfig(1);
   Pipeline global_pipeline(global);
@@ -227,7 +228,7 @@ TEST(PipelineIntegrationTest, NegationFilteringDropsNegatedMentions) {
 TEST(PipelineIntegrationTest, EmptyCorpusFailsGracefully) {
   core::Corpus corpus;
   corpus.language = text::Language::kJa;
-  core::ProcessedCorpus processed = core::ProcessCorpus(corpus);
+  core::ProcessedCorpus processed = core::IngestCorpus(corpus, {}).corpus;
   Pipeline pipeline(BaseConfig(1));
   auto result = pipeline.Run(processed);
   EXPECT_FALSE(result.ok());

@@ -15,6 +15,7 @@
 
 #include "core/apply.h"
 #include "core/bootstrap.h"
+#include "core/ingest.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "lstm/bilstm_tagger.h"
@@ -401,7 +402,7 @@ core::ProcessedCorpus MakeCorpus() {
   config.seed = 11;
   datagen::GeneratedCategory category =
       datagen::GenerateCategory(datagen::CategoryId::kVacuumCleaner, config);
-  return core::ProcessCorpus(category.corpus, 1);
+  return core::IngestCorpus(category.corpus, {1}).corpus;
 }
 
 core::PipelineConfig SmallConfig(int threads) {

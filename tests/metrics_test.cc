@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/bootstrap.h"
+#include "core/ingest.h"
 #include "datagen/generator.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -308,7 +309,7 @@ std::vector<core::Triple> RunSmallPipeline(int threads) {
   datagen::GeneratedCategory generated = datagen::GenerateCategory(
       datagen::CategoryId::kVacuumCleaner, generator_config);
   core::ProcessedCorpus corpus =
-      core::ProcessCorpus(generated.corpus, threads);
+      core::IngestCorpus(generated.corpus, {threads}).corpus;
 
   core::PipelineConfig config;
   config.model = core::ModelType::kCrf;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "core/apply.h"
 #include "core/bootstrap.h"
+#include "core/ingest.h"
 #include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
@@ -56,7 +58,7 @@ const TrainedFixture& Fixture() {
     config.seed = 42;
     auto crawl = datagen::GenerateCategory(
         datagen::CategoryId::kVacuumCleaner, config);
-    f->corpus = core::ProcessCorpus(crawl.corpus);
+    f->corpus = core::IngestCorpus(crawl.corpus, {}).corpus;
 
     core::PipelineConfig pipeline_config;
     pipeline_config.iterations = 1;
@@ -131,6 +133,46 @@ TEST(ModelArtifactTest, PackingAPackedTaggerIsRefused) {
   // serialized form.
   EXPECT_EQ(packed.Save(TempPath("resave.crf")).code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(ModelArtifactTest, RepackingALiveArtifactLeavesItsMappingReadable) {
+  // pae-serve keeps the artifact it serves mapped. Packing a new model
+  // over the same path must not truncate the mapped file: a reader of
+  // the old mapping would take SIGBUS past the new end of file.
+  const std::string path = TempPath("live.paez");
+  ASSERT_TRUE(core::PackModelArtifact(*Fixture().tagger, nullptr,
+                                      core::PackOptions(), path)
+                  .ok());
+  auto live = core::ModelArtifact::Open(path);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+  crf::CrfTagger tiny;
+  text::LabeledSequence seq;
+  seq.tokens = {"色", "は", "赤"};
+  seq.pos = {"NOUN", "PRT", "NOUN"};
+  seq.labels = {text::kOutsideLabel, text::kOutsideLabel, "B-色"};
+  ASSERT_TRUE(tiny.Train({seq}).ok());
+  ASSERT_TRUE(
+      core::PackModelArtifact(tiny, nullptr, core::PackOptions(), path).ok());
+  auto replaced = core::ModelArtifact::Open(path);
+  ASSERT_TRUE(replaced.ok()) << replaced.status().ToString();
+  ASSERT_LT(replaced.value()->file_bytes(), live.value()->file_bytes());
+
+  // Read every byte of the old mapping in a child, so a SIGBUS fails
+  // this test instead of killing the suite.
+  const core::ModelArtifact& old = *live.value();
+  EXPECT_EXIT(
+      {
+        bool intact = true;
+        for (const core::PaezSection& s : old.sections()) {
+          const uint8_t* data =
+              old.SectionData(static_cast<core::PaezSectionKind>(s.kind));
+          intact &= core::ArtifactChecksum(data, s.length) == s.checksum;
+        }
+        std::_Exit(intact ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  std::filesystem::remove(path);
 }
 
 // ---------------- cross-format equivalence ----------------

@@ -4,6 +4,7 @@
 
 #include <unordered_set>
 
+#include "core/ingest.h"
 #include "core/partition.h"
 #include "datagen/generator.h"
 
@@ -16,7 +17,7 @@ core::ProcessedCorpus Corpus(datagen::CategoryId id, int products,
   config.num_products = products;
   config.seed = 42;
   *out = datagen::GenerateCategory(id, config);
-  return core::ProcessCorpus(out->corpus);
+  return core::IngestCorpus(out->corpus, {}).corpus;
 }
 
 core::PipelineConfig FastConfig() {
@@ -92,7 +93,7 @@ TEST(PartitionTest, DeterministicGivenSeed) {
 TEST(PartitionTest, EmptyCorpusFails) {
   core::Corpus corpus;
   corpus.language = text::Language::kJa;
-  core::ProcessedCorpus processed = core::ProcessCorpus(corpus);
+  core::ProcessedCorpus processed = core::IngestCorpus(corpus, {}).corpus;
   auto plan = core::PlanAttributePartition(processed, FastConfig(),
                                            core::PartitionOptions{});
   EXPECT_FALSE(plan.ok());

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/document.h"
+#include "core/ingest.h"
 #include "core/preprocess.h"
 
 namespace pae::core {
@@ -43,7 +44,7 @@ ProcessedCorpus TableCorpus(
     page.html = html;
     corpus.pages.push_back(std::move(page));
   }
-  return ProcessCorpus(corpus);
+  return IngestCorpus(corpus, {}).corpus;
 }
 
 TEST(DiscoverCandidatesTest, CountsAndProducts) {

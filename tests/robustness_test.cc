@@ -10,6 +10,7 @@
 
 #include "core/bootstrap.h"
 #include "core/eval.h"
+#include "core/ingest.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "html/parser.h"
@@ -169,7 +170,7 @@ TEST(HostileCorpusTest, PipelineSurvivesAdversarialPages) {
     page.html = html;
     corpus.pages.push_back(std::move(page));
   }
-  core::ProcessedCorpus processed = core::ProcessCorpus(corpus);
+  core::ProcessedCorpus processed = core::IngestCorpus(corpus, {}).corpus;
   EXPECT_EQ(processed.pages.size(), corpus.pages.size());
 
   core::PipelineConfig config;
@@ -194,7 +195,7 @@ TEST(HostileCorpusTest, HugeSingleSentenceIsHandled) {
   for (int i = 0; i < 5000; ++i) body += "wort ";
   page.html = "<p>" + body + "</p>";
   corpus.pages.push_back(std::move(page));
-  core::ProcessedCorpus processed = core::ProcessCorpus(corpus);
+  core::ProcessedCorpus processed = core::IngestCorpus(corpus, {}).corpus;
   ASSERT_EQ(processed.pages.size(), 1u);
   ASSERT_FALSE(processed.pages[0].sentences.empty());
   EXPECT_EQ(processed.pages[0].sentences[0].tokens.size(), 5000u);
@@ -208,7 +209,7 @@ core::ProcessedCorpus SmallThreadTestCorpus() {
   config.seed = 21;
   datagen::GeneratedCategory category =
       datagen::GenerateCategory(datagen::CategoryId::kGarden, config);
-  return core::ProcessCorpus(category.corpus);
+  return core::IngestCorpus(category.corpus, {}).corpus;
 }
 
 TEST(ThreadKnobTest, NegativeThreadsRejectedWithStatus) {
@@ -237,7 +238,7 @@ TEST(ThreadKnobTest, ZeroThreadsMeansAutoAndRunsCleanly) {
 }
 
 TEST(ThreadKnobTest, NegativeThreadsClampWhereNoStatusChannelExists) {
-  // ProcessCorpus and ApplyOptions have no Status channel; negative
+  // IngestCorpus and ApplyOptions have no Status channel; negative
   // values clamp to 1 instead of being UB.
   datagen::GeneratorConfig config;
   config.num_products = 5;
@@ -245,7 +246,7 @@ TEST(ThreadKnobTest, NegativeThreadsClampWhereNoStatusChannelExists) {
   datagen::GeneratedCategory category =
       datagen::GenerateCategory(datagen::CategoryId::kGarden, config);
   const core::ProcessedCorpus corpus =
-      core::ProcessCorpus(category.corpus, -7);
+      core::IngestCorpus(category.corpus, {-7}).corpus;
   EXPECT_EQ(corpus.pages.size(), category.corpus.pages.size());
 }
 

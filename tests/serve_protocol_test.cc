@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -337,9 +339,23 @@ TEST_F(ProtocolServerTest, HealthyConnectionSurvivesConcurrentAttack) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response.value().triples.size(), 1u);
   }
-  auto stats = client.value().Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.value().protocol_errors, 4u);
+  // Each attacker is rejected by whichever worker picks its connection
+  // up, possibly after the healthy client's last request, so wait (up
+  // to a generous deadline) for all four rejections to be counted.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  uint64_t protocol_errors = 0;
+  while (true) {
+    auto stats = client.value().Stats();
+    ASSERT_TRUE(stats.ok());
+    protocol_errors = stats.value().protocol_errors;
+    if (protocol_errors >= 4u ||
+        std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(protocol_errors, 4u);
 }
 
 TEST_F(ProtocolServerTest, PublishOfMissingModelFailsWithoutSwap) {

@@ -1,6 +1,7 @@
 // The serving layer: GenerationCell hot-swap semantics (including the
 // multi-threaded swap hammer), ExtractionEngine byte-identity with the
-// batch ExtractWithModel path, the in-process server smoke and the
+// batch ExtractWithModel path and with the DOM reference front end on
+// randomized tag soup, the in-process server smoke and the
 // deterministic load driver.
 
 #include <gtest/gtest.h>
@@ -11,21 +12,26 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/apply.h"
 #include "core/bootstrap.h"
 #include "core/corpus_io.h"
 #include "core/engine.h"
+#include "core/ingest.h"
 #include "core/model_artifact.h"
 #include "core/normalize.h"
+#include "core/tag_filter.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "serve/client.h"
 #include "serve/generation.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
+#include "support/oracle.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace pae {
 namespace {
@@ -87,7 +93,7 @@ std::vector<core::Triple> BatchReference(const std::string& product_id,
   page.product_id = product_id;
   page.html = kPageHtml;
   corpus.pages = {page};
-  core::ProcessedCorpus processed = core::ProcessCorpus(corpus);
+  core::ProcessedCorpus processed = core::IngestCorpus(corpus, {}).corpus;
   GenTagger tagger(tag);
   return core::ExtractWithModel(tagger, processed, core::ApplyOptions{});
 }
@@ -358,6 +364,185 @@ TEST(ExtractionEngineTest, StatsReportPipelineCounts) {
   EXPECT_EQ(stats.triples, 0);
 }
 
+/// Labels tokens by content so random pages yield spans: a token with
+/// an ASCII digit is a "num" value (consecutive ones form one span),
+/// a few listed words are "word" values. Confidences come from a token
+/// hash, so a confidence bar drops some spans and keeps others.
+class SoupTagger : public text::SequenceTagger {
+ public:
+  Status Train(const std::vector<text::LabeledSequence>&) override {
+    return Status::Ok();
+  }
+  std::vector<std::string> Predict(
+      const text::LabeledSequence& seq) const override {
+    return PredictScored(seq).labels;
+  }
+  ScoredPrediction PredictScored(
+      const text::LabeledSequence& seq) const override {
+    ScoredPrediction out;
+    bool previous_num = false;
+    for (const std::string& token : seq.tokens) {
+      const bool num = token.find_first_of("0123456789") != std::string::npos;
+      if (num) {
+        out.labels.push_back(previous_num ? "I-num" : "B-num");
+      } else if (token == "word" || token == "ズーム" || token == "光学" ||
+                 token == "価格") {
+        out.labels.push_back("B-word");
+      } else {
+        out.labels.push_back(text::kOutsideLabel);
+      }
+      previous_num = num;
+      out.confidence.push_back(
+          static_cast<double>(std::hash<std::string>{}(token) % 100) / 100.0);
+    }
+    return out;
+  }
+  std::string Name() const override { return "soup"; }
+};
+
+/// One engine generation plus the DOM reference front end built from
+/// the same resources.
+struct SoupEngine {
+  std::shared_ptr<const core::ExtractionEngine> engine;
+  std::unique_ptr<text::Tokenizer> tokenizer;
+  std::unique_ptr<text::PosTagger> pos_tagger;
+};
+
+SoupEngine MakeSoupEngine(text::Language language,
+                          core::EngineOptions options) {
+  const std::vector<std::string> lexicon =
+      language == text::Language::kJa
+          ? std::vector<std::string>{"光学ズーム", "ズーム", "です",
+                                     "ではありません"}
+          : std::vector<std::string>{};
+  text::PosLexicon pos_lexicon;
+  pos_lexicon.word_tags = {{"倍", "UNIT"}, {"kg", "UNIT"}, {"word", "NOUN"}};
+  SoupEngine out;
+  out.engine = std::make_shared<core::ExtractionEngine>(
+      std::make_shared<SoupTagger>(), language, lexicon, pos_lexicon,
+      std::move(options));
+  out.tokenizer = text::MakeTokenizer(language, lexicon);
+  out.pos_tagger = std::make_unique<text::PosTagger>(language, pos_lexicon);
+  return out;
+}
+
+/// What Extract must return: the DOM reference front end (ParseHtml →
+/// ExtractText → SplitSentences → Tokenize → Tag) fed through the shared
+/// tag → filter core, then the catalog filter and per-page dedup.
+std::vector<core::Triple> DomOracleExtract(const SoupEngine& soup,
+                                           const std::string& product_id,
+                                           const std::string& html,
+                                           int64_t* sentence_count) {
+  const core::ExtractionEngine& engine = *soup.engine;
+  const std::vector<text::LabeledSequence> sentences =
+      oracle::SegmentHtml(html, *soup.tokenizer, *soup.pos_tagger);
+  *sentence_count = static_cast<int64_t>(sentences.size());
+  std::vector<const text::LabeledSequence*> pointers;
+  for (const text::LabeledSequence& sentence : sentences) {
+    pointers.push_back(&sentence);
+  }
+  const text::NegationDetector negation(engine.language());
+  std::vector<core::FilteredSentence> filtered;
+  core::TagAndFilter(
+      engine.tagger(), pointers,
+      engine.options().negation_filtering ? &negation : nullptr,
+      engine.options().min_span_confidence, nullptr, nullptr, &filtered);
+  const auto& accepted = engine.options().accepted_pairs;
+  std::vector<core::Triple> out;
+  std::unordered_set<std::string> seen;
+  core::SpanValue value;
+  for (size_t i = 0; i < sentences.size(); ++i) {
+    for (const text::ValueSpan& span : filtered[i].spans) {
+      core::ReadSpanValue(sentences[i], span, engine.language(), &value);
+      if (!accepted.empty() && accepted.count(value.key) == 0) continue;
+      if (!seen.insert(value.key).second) continue;
+      out.push_back(core::Triple{product_id, span.attribute, value.display});
+    }
+  }
+  return out;
+}
+
+/// Tag soup plus, now and then, a negated sentence in the page language.
+std::string RandomSoupPage(Rng* rng, text::Language language) {
+  std::string page = oracle::RandomHtmlSoup(rng);
+  if (rng->Bernoulli(0.3)) {
+    page += language == text::Language::kJa
+                ? "<p>価格は123ではありません。</p>"
+                : "<p>word 123 nicht.</p>";
+  }
+  return page;
+}
+
+/// Two engine generations in different languages, so a sentence memo
+/// that leaked across requests would hand one engine the other's
+/// segmentation.
+std::vector<SoupEngine> TwoSoupGenerations() {
+  core::EngineOptions ja_options;
+  ja_options.min_span_confidence = 0.3;
+  core::EngineOptions de_options;
+  for (const char* value : {"123", "10,000", "word"}) {
+    de_options.accepted_pairs.insert(
+        core::PairKey(std::string(value) == "word" ? "word" : "num",
+                      core::NormalizeValue(value)));
+  }
+  std::vector<SoupEngine> engines;
+  engines.push_back(MakeSoupEngine(text::Language::kJa, ja_options));
+  engines.push_back(MakeSoupEngine(text::Language::kDe, de_options));
+  return engines;
+}
+
+TEST(ExtractionEngineTest, FrontEndMatchesDomOracleOnTagSoup) {
+  const std::vector<SoupEngine> engines = TwoSoupGenerations();
+  // One Scratch across every page and both generations, as a server
+  // worker holds it across hot swaps.
+  auto scratch = core::ExtractionEngine::NewScratch();
+  Rng rng(20261017);
+  core::EngineRequestStats totals;
+  for (int iter = 0; iter < 600; ++iter) {
+    const SoupEngine& soup = engines[static_cast<size_t>(iter % 2)];
+    const std::string page = RandomSoupPage(&rng, soup.engine->language());
+    SCOPED_TRACE("iter " + std::to_string(iter) + ": " + page);
+    const std::string product_id = "p" + std::to_string(iter);
+    core::EngineRequestStats stats;
+    const std::vector<core::Triple> served =
+        soup.engine->Extract(product_id, page, scratch.get(), &stats);
+    int64_t oracle_sentences = 0;
+    ASSERT_EQ(served, DomOracleExtract(soup, product_id, page,
+                                       &oracle_sentences));
+    ASSERT_EQ(stats.sentences, oracle_sentences);
+    totals.negation_dropped += stats.negation_dropped;
+    totals.confidence_dropped += stats.confidence_dropped;
+    totals.triples += stats.triples;
+  }
+  // The soup must actually reach every branch of the filter.
+  EXPECT_GT(totals.negation_dropped, 0);
+  EXPECT_GT(totals.confidence_dropped, 0);
+  EXPECT_GT(totals.triples, 0);
+}
+
+TEST(ExtractionEngineTest, NoMemoStateLeaksBetweenRequests) {
+  const std::vector<SoupEngine> engines = TwoSoupGenerations();
+  const core::ExtractionEngine& ja = *engines[0].engine;
+  const std::string page_a =
+      "<p>光学ズーム10倍。</p><p>価格は123です。</p><p>光学ズーム10倍。</p>";
+  const std::vector<core::Triple> fresh =
+      ja.Extract("a", page_a, core::ExtractionEngine::NewScratch().get());
+  ASSERT_FALSE(fresh.empty());
+
+  // 1000 other pages through one Scratch, across both generations; the
+  // German engine also sees page A's exact sentence bytes, which it
+  // segments differently.
+  auto scratch = core::ExtractionEngine::NewScratch();
+  Rng rng(4242);
+  for (int i = 0; i < 1000; ++i) {
+    const SoupEngine& soup = engines[static_cast<size_t>(i % 2)];
+    const std::string page =
+        i % 10 == 1 ? page_a : RandomSoupPage(&rng, soup.engine->language());
+    soup.engine->Extract("other", page, scratch.get());
+  }
+  EXPECT_EQ(ja.Extract("a", page_a, scratch.get()), fresh);
+}
+
 TEST(ExtractionEngineTest, RealCrfEngineMatchesBatchApply) {
   // Train a real CRF on synthetic data, persist model + resources, load
   // them back into an engine and hold it byte-identical to the batch
@@ -367,7 +552,7 @@ TEST(ExtractionEngineTest, RealCrfEngineMatchesBatchApply) {
   gen.seed = 42;
   auto crawl =
       datagen::GenerateCategory(datagen::CategoryId::kVacuumCleaner, gen);
-  core::ProcessedCorpus corpus = core::ProcessCorpus(crawl.corpus);
+  core::ProcessedCorpus corpus = core::IngestCorpus(crawl.corpus, {}).corpus;
 
   core::PipelineConfig config;
   config.iterations = 1;
@@ -409,7 +594,7 @@ TEST(ExtractionEngineTest, RealCrfEngineMatchesBatchApply) {
   core::Corpus fresh_pages = crawl_b.corpus;
   fresh_pages.tokenizer_lexicon = crawl.corpus.tokenizer_lexicon;
   fresh_pages.pos_lexicon = crawl.corpus.pos_lexicon;
-  core::ProcessedCorpus corpus_b = core::ProcessCorpus(fresh_pages);
+  core::ProcessedCorpus corpus_b = core::IngestCorpus(fresh_pages, {}).corpus;
 
   core::ApplyOptions batch_options;
   batch_options.min_span_confidence = 0.5;
@@ -681,6 +866,64 @@ TEST(LoadgenTest, SwapHookFiresExactlyOnceAtThreshold) {
   EXPECT_EQ(swaps.load(std::memory_order_seq_cst), 1);
   EXPECT_EQ(report.value().generation_min, 1u);
   EXPECT_EQ(report.value().generation_max, 2u);
+}
+
+/// Reported quantiles are ordered and bounded by the observed max.
+void ExpectQuantilesOrdered(const serve::LoadgenReport& report) {
+  EXPECT_LE(report.p50_seconds, report.p95_seconds);
+  EXPECT_LE(report.p95_seconds, report.p99_seconds);
+  EXPECT_LE(report.p99_seconds, report.max_seconds);
+}
+
+TEST(LoadgenTest, FailedRequestsCountTowardNeitherQpsNorLatency) {
+  // No model is published, so every extract fails with
+  // kFailedPrecondition: 20 of 20 requests fail.
+  serve::ServerOptions server_options;
+  server_options.unix_path = TestSocketPath("pae_serve_all_fail.sock");
+  server_options.workers = 1;
+  serve::Server server(server_options);
+  ASSERT_TRUE(server.Start().ok());
+  auto connect = [&server_options] {
+    return serve::Client::ConnectUnixSocket(server_options.unix_path);
+  };
+  serve::LoadgenOptions options;
+  options.requests = 20;
+  auto report =
+      RunLoadgen(options, {serve::LoadgenProduct{"p1", kPageHtml}}, connect);
+  server.Stop();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().requests_sent, 20u);
+  EXPECT_EQ(report.value().ok_responses, 0u);
+  EXPECT_EQ(report.value().error_responses, 20u);
+  EXPECT_EQ(report.value().qps, 0.0);
+  EXPECT_EQ(report.value().max_seconds, 0.0);
+  uint64_t observed = 0;
+  for (uint64_t count : report.value().bucket_counts) observed += count;
+  EXPECT_EQ(observed, 0u);
+  ExpectQuantilesOrdered(report.value());
+}
+
+TEST(LoadgenTest, QuantilesNeverExceedObservedMax) {
+  serve::ServerOptions server_options;
+  server_options.unix_path = TestSocketPath("pae_serve_quantiles.sock");
+  server_options.workers = 2;
+  serve::Server server(server_options);
+  ASSERT_TRUE(server.Start().ok());
+  server.Publish(MakeStubEngine("色"));
+  auto connect = [&server_options] {
+    return serve::Client::ConnectUnixSocket(server_options.unix_path);
+  };
+  serve::LoadgenOptions options;
+  options.requests = 300;
+  options.threads = 2;
+  auto report =
+      RunLoadgen(options, {serve::LoadgenProduct{"p1", kPageHtml}}, connect);
+  server.Stop();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().ok_responses, 300u);
+  EXPECT_GT(report.value().qps, 0.0);
+  EXPECT_GT(report.value().max_seconds, 0.0);
+  ExpectQuantilesOrdered(report.value());
 }
 
 }  // namespace

@@ -23,9 +23,9 @@
 
 #include "html/parser.h"
 #include "html/table_extractor.h"
+#include "support/oracle.h"
 #include "text/fused_segmenter.h"
 #include "text/pos_tagger.h"
-#include "text/sentence.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
 
@@ -140,45 +140,11 @@ TEST(StreamScannerTest, ScannerStateResetsBetweenPages) {
   }
 }
 
-/// Random tag-soup generator: emits structural tokens (often unbalanced),
-/// text with entities, comments, script/style, and raw junk so the
-/// differential walks the scanner's recovery paths, not just happy HTML.
-std::string RandomHtmlSoup(Rng* rng) {
-  static const std::vector<std::string> kTokens = {
-      "<div>",     "</div>",  "<p>",        "</p>",      "<span>",
-      "</span>",   "<b>",     "</b>",       "<table>",   "</table>",
-      "<tr>",      "</tr>",   "<td>",       "</td>",     "<th>",
-      "</th>",     "<br>",    "<br/>",      "<hr>",      "<img src=\"x\">",
-      "<div/>",    "</li>",   "<!-- c -->", "<!doctype html>",
-      "<script>var t = '<td>';</script>",   "<style>b{}</style>",
-      "<div title=\"a > b\">",              "<>",
-  };
-  static const std::vector<std::string> kText = {
-      "word",  "  ",     "\n",      "123",      "a&amp;b", "&lt;x&gt;",
-      "&#65;", "&bad;",  "光学",    "ズーム",   "<",       ">",
-      "価格",  "10,000", "k v",     "&#x42;",
-  };
-  std::string out;
-  const int pieces = static_cast<int>(rng->NextInt(1, 60));
-  for (int i = 0; i < pieces; ++i) {
-    if (rng->Bernoulli(0.55)) {
-      out += kTokens[static_cast<size_t>(
-          rng->NextInt(0, static_cast<int64_t>(kTokens.size()) - 1))];
-    } else {
-      out += kText[static_cast<size_t>(
-          rng->NextInt(0, static_cast<int64_t>(kText.size()) - 1))];
-    }
-  }
-  // Occasionally end mid-tag — the scanner must not read past the end.
-  if (rng->Bernoulli(0.1)) out += "<t";
-  return out;
-}
-
 TEST(StreamScannerTest, RandomizedSoupDifferential) {
   Rng rng(20260809);
   html::StreamScanner scanner;
   for (int iter = 0; iter < 400; ++iter) {
-    const std::string html_src = RandomHtmlSoup(&rng);
+    const std::string html_src = oracle::RandomHtmlSoup(&rng);
     SCOPED_TRACE("iter " + std::to_string(iter) + ": " + html_src);
     scanner.Scan(html_src);
     const std::unique_ptr<html::HtmlNode> dom = html::ParseHtml(html_src);
@@ -205,25 +171,15 @@ text::PosLexicon TestPosLexicon() {
   return lexicon;
 }
 
-/// The exact per-page loop of ProcessCorpus (core/document.cc) that the
-/// fused segmenter replaces.
+/// The modular reference (oracle::SegmentText) over freshly built
+/// resources.
 std::vector<text::LabeledSequence> ModularSegment(
     text::Language lang, const std::vector<std::string>& lexicon,
     const text::PosLexicon& pos_lexicon, std::string_view page_text) {
   const std::unique_ptr<text::Tokenizer> tokenizer =
       text::MakeTokenizer(lang, lexicon);
   const text::PosTagger tagger(lang, pos_lexicon);
-  std::vector<text::LabeledSequence> out;
-  int sentence_index = 0;
-  for (const std::string& sentence : text::SplitSentences(page_text)) {
-    text::LabeledSequence seq;
-    seq.tokens = tokenizer->Tokenize(sentence);
-    if (seq.tokens.empty()) continue;
-    seq.pos = tagger.Tag(seq.tokens);
-    seq.sentence_index = sentence_index++;
-    out.push_back(std::move(seq));
-  }
-  return out;
+  return oracle::SegmentText(page_text, *tokenizer, tagger);
 }
 
 void ExpectSequencesEqual(const std::vector<text::LabeledSequence>& fused,
@@ -370,8 +326,11 @@ TEST(FusedSegmenterTest, RandomizedDifferentialBothLanguages) {
 }
 
 TEST(FusedSegmenterTest, EntryCookiesPersistAcrossSegments) {
+  // The segmenter keeps a reference to the PoS lexicon, so it must
+  // outlive the segmenter — a temporary here would dangle.
+  const text::PosLexicon pos_lexicon = TestPosLexicon();
   const text::FusedSegmenter segmenter(text::Language::kJa, JaLexicon(),
-                                       TestPosLexicon());
+                                       pos_lexicon);
   text::FusedSegmenter::Scratch scratch;
   const std::string page = "光学ズーム10倍。手ぶれ補正つき。";
 

@@ -1,8 +1,9 @@
 // Byte-equality proof for the streaming ingestion (core/ingest.h): the
 // single-pass pipeline (and its on-disk streaming variant) must produce
 // memcmp-identical ProcessedCorpus, CandidateSet, Vocab, and Seed
-// artifacts to the barrier pipeline (LoadCorpus → ProcessCorpus →
-// DiscoverCandidates → BuildSeed) at every thread count.
+// artifacts to the barrier pipeline (LoadCorpus → the tests/support
+// oracle::ProcessCorpus → DiscoverCandidates → BuildSeed) at every
+// thread count.
 
 #include "core/ingest.h"
 
@@ -18,6 +19,7 @@
 #include "core/document.h"
 #include "core/preprocess.h"
 #include "datagen/generator.h"
+#include "support/oracle.h"
 #include "text/vocab.h"
 
 namespace pae::core {
@@ -120,7 +122,7 @@ TEST(StreamingIngestTest, MatchesBarrierPipelineAtEveryThreadCount) {
   const datagen::GeneratedCategory category = MakeCategory(120, 4242);
 
   // Barrier reference: the existing four-phase pipeline, single thread.
-  const ProcessedCorpus barrier = ProcessCorpus(category.corpus, 1);
+  const ProcessedCorpus barrier = oracle::ProcessCorpus(category.corpus, 1);
   const std::string barrier_corpus_bytes = Serialize(barrier);
   const std::string barrier_candidates_bytes =
       Serialize(DiscoverCandidates(barrier));
@@ -154,7 +156,7 @@ TEST(StreamingIngestTest, GermanCategoryMatchesBarrierPipeline) {
       datagen::CategoryId::kCoffeeMachinesDe, config);
   ASSERT_EQ(category.corpus.language, text::Language::kDe);
 
-  const ProcessedCorpus barrier = ProcessCorpus(category.corpus, 1);
+  const ProcessedCorpus barrier = oracle::ProcessCorpus(category.corpus, 1);
   const std::string barrier_corpus_bytes = Serialize(barrier);
   const std::string barrier_candidates_bytes =
       Serialize(DiscoverCandidates(barrier));

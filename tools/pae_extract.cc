@@ -11,23 +11,19 @@
 //        --no-diversification            --min-confidence X
 //        --epochs N (BiLSTM)             --eval
 //        --metrics-out report.json ("-" = stdout) --no-metrics
-//        --ingest streaming|barrier (default streaming: single-pass
-//          page-at-a-time ingestion; barrier = load-everything-first
-//          reference path; outputs are byte-identical)
 
+#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "args.h"
-#include <fstream>
-
 #include "core/apply.h"
 #include "core/bootstrap.h"
-#include "crf/crf_tagger.h"
 #include "core/corpus_io.h"
+#include "core/engine.h"
 #include "core/eval.h"
 #include "core/ingest.h"
-#include "core/model_artifact.h"
+#include "crf/crf_tagger.h"
 #include "math/kernels.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -71,8 +67,6 @@ int Usage() {
             << "                    collection)\n"
             << "                   [--threads N]  (0 = all hardware threads;\n"
             << "                    output is identical for every N)\n"
-            << "                   [--ingest streaming|barrier]  (default\n"
-            << "                    streaming; byte-identical outputs)\n"
             << "                   [--save-model m.crf]  (CRF only; also\n"
             << "                    writes m.crf.pairs)\n"
             << "       pae-extract --in <dir> --out <tsv> --apply-model\n"
@@ -98,33 +92,15 @@ int main(int argc, char** argv) {
     pae::util::MetricsRegistry::Global().set_enabled(false);
   }
 
-  const std::string ingest_mode = args.GetString("ingest", "streaming");
-  if (ingest_mode != "streaming" && ingest_mode != "barrier") {
-    std::cerr << "--ingest must be 'streaming' or 'barrier', got '"
-              << ingest_mode << "'\n";
-    return 2;
+  pae::core::IngestOptions ingest_options;
+  ingest_options.threads = threads;
+  auto ingest_result = pae::core::IngestCorpusDir(in_dir, ingest_options);
+  if (!ingest_result.ok()) {
+    std::cerr << ingest_result.status().ToString() << "\n";
+    return 1;
   }
-  const bool streaming = ingest_mode == "streaming";
-
-  pae::core::IngestedCorpus ingested;
-  if (streaming) {
-    pae::core::IngestOptions ingest_options;
-    ingest_options.threads = threads;
-    auto ingest_result = pae::core::IngestCorpusDir(in_dir, ingest_options);
-    if (!ingest_result.ok()) {
-      std::cerr << ingest_result.status().ToString() << "\n";
-      return 1;
-    }
-    ingested = std::move(ingest_result).value();
-  } else {
-    auto corpus_result = pae::core::LoadCorpus(in_dir);
-    if (!corpus_result.ok()) {
-      std::cerr << corpus_result.status().ToString() << "\n";
-      return 1;
-    }
-    ingested.corpus = pae::core::ProcessCorpus(corpus_result.value(), threads);
-  }
-  pae::core::ProcessedCorpus& corpus = ingested.corpus;
+  const pae::core::IngestedCorpus ingested = std::move(ingest_result).value();
+  const pae::core::ProcessedCorpus& corpus = ingested.corpus;
   std::cerr << "loaded " << corpus.pages.size() << " pages ("
             << corpus.category << ", "
             << pae::text::LanguageName(corpus.language) << ")\n";
@@ -132,38 +108,18 @@ int main(int argc, char** argv) {
   // ---- apply mode: tag with a persisted model, no bootstrap ----
   if (args.Has("apply-model")) {
     const std::string model_path = args.GetString("apply-model", "");
-    pae::crf::CrfTagger tagger;
-    if (pae::core::IsPaezFile(model_path)) {
-      auto artifact = pae::core::ModelArtifact::Open(model_path);
-      auto packed = artifact.ok()
-                        ? pae::core::MakePackedCrfModel(
-                              std::move(artifact).value())
-                        : pae::Result<pae::crf::PackedCrfModel>(
-                              artifact.status());
-      pae::Status loaded = packed.ok()
-                               ? tagger.LoadPacked(std::move(packed).value())
-                               : packed.status();
-      if (!loaded.ok()) {
-        std::cerr << loaded.ToString() << "\n";
-        return 1;
-      }
-    } else {
-      pae::Status loaded = tagger.Load(model_path);
-      if (!loaded.ok()) {
-        std::cerr << loaded.ToString() << "\n";
-        return 1;
-      }
+    auto model = pae::core::LoadCrfModel(model_path);
+    if (!model.ok()) {
+      std::cerr << model.status().ToString() << "\n";
+      return 1;
     }
     pae::core::ApplyOptions apply;
     apply.threads = threads;
     apply.min_span_confidence = args.GetDouble("min-confidence", 0.0);
     if (args.Has("no-negation")) apply.negation_filtering = false;
-    std::ifstream pairs(model_path + ".pairs");
-    for (std::string line; std::getline(pairs, line);) {
-      if (!line.empty()) apply.accepted_pairs.insert(line);
-    }
+    apply.accepted_pairs = std::move(model.value().accepted_pairs);
     std::vector<pae::core::Triple> triples =
-        pae::core::ExtractWithModel(tagger, corpus, apply);
+        pae::core::ExtractWithModel(*model.value().tagger, corpus, apply);
     pae::Status save = pae::core::SaveTriples(triples, out_path);
     if (!save.ok()) {
       std::cerr << save.ToString() << "\n";
@@ -223,7 +179,7 @@ int main(int argc, char** argv) {
   }
 
   pae::core::Pipeline pipeline(config);
-  auto result = streaming ? pipeline.Run(ingested) : pipeline.Run(corpus);
+  auto result = pipeline.Run(ingested);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;
