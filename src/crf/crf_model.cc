@@ -1,11 +1,40 @@
 #include "crf/crf_model.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/vec.h"
 #include "util/logging.h"
 
 namespace pae::crf {
+
+namespace {
+
+/// out[i] = exp(x[i] − max x) for i < n; returns max x.
+double ExpShifted(const double* x, size_t n, double* out) {
+  double m = x[0];
+  for (size_t i = 1; i < n; ++i) m = std::max(m, x[i]);
+  for (size_t i = 0; i < n; ++i) out[i] = std::exp(x[i] - m);
+  return m;
+}
+
+/// Σ a[i*stride] * b[i*stride] over i < n, in index order; a stride of
+/// L walks one column each of two row-major T×L arrays.
+double DotD(const double* a, const double* b, size_t n, size_t stride = 1) {
+  double s = 0;
+  for (size_t i = 0; i < n; ++i) s += a[i * stride] * b[i * stride];
+  return s;
+}
+
+/// SequenceNll's workspace: training runs it concurrently on pool
+/// threads, so each thread keeps its own lattice and reuses it for
+/// every sequence of every objective evaluation.
+ScaledLattice& ThreadLattice() {
+  static thread_local ScaledLattice lattice;
+  return lattice;
+}
+
+}  // namespace
 
 int CrfModel::AddLabel(std::string_view label) {
   const int id = label_ids_.Intern(label);
@@ -108,6 +137,81 @@ double CrfModel::ForwardBackward(const CompiledSequence& seq,
   return math::LogSumExp(tmp);
 }
 
+double CrfModel::ScaledForwardBackward(const CompiledSequence& seq,
+                                       std::span<const double> w,
+                                       ScaledLattice* lattice) const {
+  const size_t L = num_labels();
+  const size_t T = seq.length();
+  PAE_DCHECK_GT(T, 0u);
+  UnigramScores(seq, w, &lattice->scores);
+  lattice->emit.resize(T * L);
+  lattice->alpha.resize(T * L);
+  lattice->beta.resize(T * L);
+  lattice->scale.resize(T);
+  lattice->exp_trans.resize(L * L);
+  lattice->exp_trans_t.resize(L * L);
+  lattice->exp_start.resize(L);
+  lattice->exp_end.resize(L);
+  const double* scores = lattice->scores.data();
+  double* emit = lattice->emit.data();
+  double* alpha = lattice->alpha.data();
+  double* beta = lattice->beta.data();
+  double* scale = lattice->scale.data();
+  double* exp_trans = lattice->exp_trans.data();
+  double* exp_trans_t = lattice->exp_trans_t.data();
+  double* exp_start = lattice->exp_start.data();
+  double* exp_end = lattice->exp_end.data();
+
+  // Each block max taken out here is added back to log Z: the
+  // transition max once per transition, start and end once each.
+  double log_z = ExpShifted(w.data() + TransBase(), L * L, exp_trans) *
+                     static_cast<double>(T - 1) +
+                 ExpShifted(w.data() + StartBase(), L, exp_start) +
+                 ExpShifted(w.data() + EndBase(), L, exp_end);
+  for (size_t yp = 0; yp < L; ++yp) {
+    for (size_t y = 0; y < L; ++y) {
+      exp_trans_t[y * L + yp] = exp_trans[yp * L + y];
+    }
+  }
+
+  // Forward: alpha_t = E_t ⊙ (alpha_{t-1} · exp(trans)) / c_t, with
+  // exp(start) in place of the product at t = 0.
+  for (size_t t = 0; t < T; ++t) {
+    double* a = alpha + t * L;
+    double* e = emit + t * L;
+    log_z += ExpShifted(scores + t * L, L, e);
+    double c = 0;
+    for (size_t y = 0; y < L; ++y) {
+      const double in =
+          t == 0 ? exp_start[y] : DotD(a - L, exp_trans_t + y * L, L);
+      a[y] = e[y] * in;
+      c += a[y];
+    }
+    scale[t] = c;
+    log_z += std::log(c);
+    const double inv = 1.0 / c;
+    for (size_t y = 0; y < L; ++y) a[y] *= inv;
+  }
+  const double end_mass = DotD(alpha + (T - 1) * L, exp_end, L);
+  log_z += std::log(end_mass);
+
+  // Backward with the forward scales: beta_{T-1} = exp(end) / end_mass,
+  // then q_t = E_t ⊙ beta_t / c_t (stored over E_t) and
+  // beta_{t-1} = exp(trans) · q_t.
+  for (size_t y = 0; y < L; ++y) {
+    beta[(T - 1) * L + y] = exp_end[y] / end_mass;
+  }
+  for (size_t t = T - 1; t > 0; --t) {
+    double* q = emit + t * L;
+    const double inv = 1.0 / scale[t];
+    for (size_t y = 0; y < L; ++y) q[y] *= beta[t * L + y] * inv;
+    for (size_t yp = 0; yp < L; ++yp) {
+      beta[(t - 1) * L + yp] = DotD(exp_trans + yp * L, q, L);
+    }
+  }
+  return log_z;
+}
+
 double CrfModel::SequenceNll(const CompiledSequence& seq,
                              std::span<const double> w,
                              std::vector<double>* grad) const {
@@ -117,13 +221,15 @@ double CrfModel::SequenceNll(const CompiledSequence& seq,
   PAE_DCHECK_EQ(w.size(), WeightDim());
   PAE_DCHECK_EQ(grad->size(), WeightDim());
 
-  std::vector<double> scores, alpha, beta;
-  UnigramScores(seq, w, &scores);
-  const double log_z = ForwardBackward(seq, scores, w, &alpha, &beta);
+  ScaledLattice& lattice = ThreadLattice();
+  const double log_z = ScaledForwardBackward(seq, w, &lattice);
   // A non-finite partition function here means the weights (or a
   // feature score) already went NaN/inf upstream — fail at the source
   // instead of poisoning the whole gradient.
   PAE_DCHECK_FINITE(log_z);
+  const double* scores = lattice.scores.data();
+  const double* alpha = lattice.alpha.data();
+  const double* beta = lattice.beta.data();
 
   const double* trans = w.data() + TransBase();
   const double* start = w.data() + StartBase();
@@ -150,11 +256,12 @@ double CrfModel::SequenceNll(const CompiledSequence& seq,
   g_start[static_cast<size_t>(seq.labels[0])] -= 1.0;
   g_end[static_cast<size_t>(seq.labels[T - 1])] -= 1.0;
 
-  // Expected counts (added to gradient).
-  std::vector<double> marg(L);
+  // Expected counts (added to gradient): p(y_t) = alpha_t ⊙ beta_t.
+  std::vector<double>& marg = lattice.marginal;
+  marg.resize(L);
   for (size_t t = 0; t < T; ++t) {
     for (size_t y = 0; y < L; ++y) {
-      marg[y] = std::exp(alpha[t * L + y] + beta[t * L + y] - log_z);
+      marg[y] = alpha[t * L + y] * beta[t * L + y];
     }
     for (int f : seq.features[t]) {
       double* gf = grad->data() + static_cast<size_t>(f) * L;
@@ -167,14 +274,17 @@ double CrfModel::SequenceNll(const CompiledSequence& seq,
       for (size_t y = 0; y < L; ++y) g_end[y] += marg[y];
     }
   }
-  // Pairwise expectations for transitions.
-  for (size_t t = 1; t < T; ++t) {
+  // Pairwise expectations for transitions:
+  //   p(y_{t-1} = yp, y_t = y) = alpha_{t-1}(yp) exp(trans)(yp, y) q_t(y),
+  // summed over t as one column dot product per (yp, y) — the L×L
+  // product alpha_{0..T-2}ᵀ q_{1..T-1} — scaled by exp(trans) once.
+  if (T > 1) {
+    const double* q = lattice.emit.data() + L;
+    const double* exp_trans = lattice.exp_trans.data();
     for (size_t yp = 0; yp < L; ++yp) {
-      const double a = alpha[(t - 1) * L + yp];
       for (size_t y = 0; y < L; ++y) {
-        const double logp = a + trans[yp * L + y] + scores[t * L + y] +
-                            beta[t * L + y] - log_z;
-        g_trans[yp * L + y] += std::exp(logp);
+        g_trans[yp * L + y] +=
+            exp_trans[yp * L + y] * DotD(alpha + yp, q + y, T - 1, L);
       }
     }
   }

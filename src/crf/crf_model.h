@@ -20,6 +20,32 @@ struct CompiledSequence {
   size_t length() const { return features.size(); }
 };
 
+/// One sequence's forward–backward lattice in probability space, with
+/// per-position scaling (the recursion CRFsuite trains with). With
+/// E_t(y) = exp(s_t(y) − max_y s_t), each row of `alpha` sums to 1 after
+/// division by its scale c_t, and `beta` is divided by the same scales,
+/// so alpha[t*L+y] * beta[t*L+y] is the marginal p(y_t = y | x).
+///
+/// Each call resizes the buffers in place, so a lattice reused across
+/// calls stops allocating once it has held the longest sequence.
+struct ScaledLattice {
+  std::vector<double> scores;  // T×L unigram scores s_t(y)
+  /// T×L. E_t on the forward pass; the backward pass overwrites rows
+  /// t ≥ 1 with q_t = E_t ⊙ beta_t / c_t, which both the backward step
+  /// and the transition expectation consume.
+  std::vector<double> emit;
+  std::vector<double> alpha;  // T×L, rows sum to 1
+  std::vector<double> beta;   // T×L
+  std::vector<double> scale;  // T, c_t
+  /// exp(block − block max) for the transition (L×L, [prev*L + y]),
+  /// its transpose ([y*L + prev]), start and end blocks.
+  std::vector<double> exp_trans;
+  std::vector<double> exp_trans_t;
+  std::vector<double> exp_start;
+  std::vector<double> exp_end;
+  std::vector<double> marginal;  // L, one row of alpha ⊙ beta
+};
+
 /// The mathematical core of the linear-chain CRF: label/feature
 /// dictionaries, the weight-vector layout, potentials, forward–backward,
 /// negative log-likelihood with gradient, marginals, and Viterbi.
@@ -108,14 +134,28 @@ class CrfModel {
   void UnigramScores(const CompiledSequence& seq, std::span<const double> w,
                      std::vector<double>* scores) const;
 
+  /// Runs the scaled forward–backward over `seq` into `lattice` and
+  /// returns log Z. It costs L `exp` and one `log` per position plus
+  /// L² + 2L `exp` per sequence, against ~3L² `exp` per position in log
+  /// space. Every step is renormalized, so sequence length never
+  /// underflows it; what bounds it is the spread (max − min) of the
+  /// transition, start and end blocks, which is exponentiated whole:
+  /// results stay finite while each spread is well below ~700 nats
+  /// (exp(−700) is near the smallest normal double). Trained CRF
+  /// weights sit within a few tens of nats.
+  double ScaledForwardBackward(const CompiledSequence& seq,
+                               std::span<const double> w,
+                               ScaledLattice* lattice) const;
+
   /// Adds the sequence's negative log-likelihood to the return value and
   /// accumulates its gradient into `grad` (same layout as `w`).
-  /// Requires gold labels.
+  /// Requires gold labels. Runs ScaledForwardBackward on a reusable
+  /// thread-local lattice, so it allocates nothing once warm.
   double SequenceNll(const CompiledSequence& seq, std::span<const double> w,
                      std::vector<double>* grad) const;
 
   /// Posterior marginals p(y_t = y | x): out[t*L + y]. For testing and
-  /// confidence estimation.
+  /// confidence estimation. Still runs the log-space ForwardBackward.
   void Marginals(const CompiledSequence& seq, std::span<const double> w,
                  std::vector<double>* out) const;
 
@@ -125,7 +165,7 @@ class CrfModel {
 
  private:
   /// Runs log-space forward–backward. alpha/beta are T×L, flattened.
-  /// Returns log Z.
+  /// Returns log Z. Only Marginals calls it.
   double ForwardBackward(const CompiledSequence& seq,
                          const std::vector<double>& scores,
                          std::span<const double> w,

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "crf/crf_model.h"
 #include "crf/crf_tagger.h"
 #include "crf/feature_extractor.h"
 #include "crf/owlqn.h"
+#include "support/crf_oracle.h"
 #include "text/labeled_sequence.h"
 #include "util/rng.h"
 
@@ -229,6 +232,156 @@ TEST_P(CrfGradientTest, AnalyticMatchesNumeric) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrfGradientTest, ::testing::Range(0, 8));
+
+// ---------------- scaled forward–backward vs the log-space oracle ------
+
+/// A random model with `num_labels` labels over 30 features and weights
+/// drawn N(0, sigma²); sequences get 0–6 active features per position.
+struct RandomCrf {
+  CrfModel model;
+  std::vector<double> weights;
+  Rng rng;
+
+  RandomCrf(uint64_t seed, size_t num_labels, double sigma) : rng(seed) {
+    for (size_t y = 0; y < num_labels; ++y) {
+      model.AddLabel("L" + std::to_string(y));
+    }
+    for (size_t f = 0; f < 30; ++f) model.AddFeature("F" + std::to_string(f));
+    weights.resize(model.WeightDim());
+    for (double& w : weights) w = rng.NextGaussian() * sigma;
+  }
+
+  /// The transition block, drawn uniformly from [-spread, spread].
+  void SpreadTransitions(double spread) {
+    const size_t L = model.num_labels();
+    double* trans = weights.data() + model.num_features() * L;
+    for (size_t i = 0; i < L * L; ++i) {
+      trans[i] = (2 * rng.NextDouble() - 1) * spread;
+    }
+  }
+
+  CompiledSequence Sequence(size_t length) {
+    CompiledSequence seq;
+    seq.features.resize(length);
+    seq.labels.resize(length);
+    for (size_t t = 0; t < length; ++t) {
+      const uint64_t active = rng.NextBounded(7);
+      for (uint64_t k = 0; k < active; ++k) {
+        seq.features[t].push_back(
+            static_cast<int>(rng.NextBounded(model.num_features())));
+      }
+      seq.labels[t] = static_cast<int>(rng.NextBounded(model.num_labels()));
+    }
+    return seq;
+  }
+};
+
+/// SequenceNll against oracle::LogSpaceSequenceNll: the NLL within 1e-9
+/// relative and every gradient coordinate within 1e-9·max(1, |g|).
+void ExpectMatchesOracle(const RandomCrf& crf, const CompiledSequence& seq) {
+  const size_t dim = crf.weights.size();
+  std::vector<double> grad(dim, 0.0), want_grad(dim, 0.0);
+  const double nll = crf.model.SequenceNll(seq, crf.weights, &grad);
+  const double want = oracle::LogSpaceSequenceNll(crf.model, seq,
+                                                  crf.weights, &want_grad);
+  ASSERT_TRUE(std::isfinite(nll));
+  EXPECT_NEAR(nll, want, 1e-9 * std::max(1.0, std::fabs(want)));
+  size_t bad = 0;
+  for (size_t i = 0; i < dim; ++i) {
+    const double tol = 1e-9 * std::max(1.0, std::fabs(want_grad[i]));
+    if (!(std::fabs(grad[i] - want_grad[i]) <= tol)) {
+      if (++bad <= 3) {
+        ADD_FAILURE() << "gradient[" << i << "] = " << grad[i]
+                      << ", oracle " << want_grad[i];
+      }
+    }
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+TEST(CrfScaledKernelTest, MatchesLogSpaceOracle) {
+  uint64_t seed = 1;
+  for (size_t labels : {1, 2, 3, 9, 17, 25}) {
+    for (size_t length : {1, 2, 7, 200}) {
+      for (double sigma : {0.1, 1.0, 5.0}) {
+        SCOPED_TRACE(::testing::Message() << "L=" << labels << " T="
+                                          << length << " sigma=" << sigma);
+        RandomCrf crf(seed++, labels, sigma);
+        ExpectMatchesOracle(crf, crf.Sequence(length));
+      }
+    }
+  }
+}
+
+TEST(CrfScaledKernelTest, MatchesOracleWithTransitionsSpanningPlusMinus100) {
+  uint64_t seed = 900;
+  for (size_t labels : {3, 9, 25}) {
+    for (size_t length : {2, 7, 200}) {
+      SCOPED_TRACE(::testing::Message() << "L=" << labels
+                                        << " T=" << length);
+      RandomCrf crf(seed++, labels, 1.0);
+      crf.SpreadTransitions(100.0);
+      ExpectMatchesOracle(crf, crf.Sequence(length));
+    }
+  }
+}
+
+TEST(CrfScaledKernelTest, MarginalsSumToOneAndMatchLogSpace) {
+  uint64_t seed = 300;
+  for (size_t labels : {1, 3, 17}) {
+    for (size_t length : {1, 7, 200}) {
+      for (double spread : {0.0, 100.0}) {
+        SCOPED_TRACE(::testing::Message() << "L=" << labels << " T="
+                                          << length << " spread=" << spread);
+        RandomCrf crf(seed++, labels, 5.0);
+        if (spread > 0) crf.SpreadTransitions(spread);
+        const CompiledSequence seq = crf.Sequence(length);
+        ScaledLattice lattice;
+        ASSERT_TRUE(std::isfinite(
+            crf.model.ScaledForwardBackward(seq, crf.weights, &lattice)));
+        std::vector<double> log_space;
+        crf.model.Marginals(seq, crf.weights, &log_space);
+        for (size_t t = 0; t < length; ++t) {
+          double sum = 0;
+          for (size_t y = 0; y < labels; ++y) {
+            const size_t i = t * labels + y;
+            const double p = lattice.alpha[i] * lattice.beta[i];
+            EXPECT_NEAR(p, log_space[i], 1e-9) << "t=" << t << " y=" << y;
+            sum += p;
+          }
+          EXPECT_NEAR(sum, 1.0, 1e-9) << "t=" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(CrfScaledKernelTest, ReusedWorkspaceDoesNotChangeShortSequence) {
+  // SequenceNll keeps its lattice thread-local. A T = 1 sequence scored
+  // right after a T = 200 one (stale rows past the end) must give the
+  // same bits as on a thread whose lattice has never been used.
+  RandomCrf crf(77, 9, 1.0);
+  const CompiledSequence longest = crf.Sequence(200);
+  const CompiledSequence single = crf.Sequence(1);
+  const size_t dim = crf.weights.size();
+  auto score = [&](const CompiledSequence* before, double* nll,
+                   std::vector<double>* grad) {
+    std::thread([&] {
+      if (before != nullptr) {
+        std::vector<double> scratch(dim, 0.0);
+        crf.model.SequenceNll(*before, crf.weights, &scratch);
+      }
+      grad->assign(dim, 0.0);
+      *nll = crf.model.SequenceNll(single, crf.weights, grad);
+    }).join();
+  };
+  double fresh_nll = 0, reused_nll = 0;
+  std::vector<double> fresh_grad, reused_grad;
+  score(nullptr, &fresh_nll, &fresh_grad);
+  score(&longest, &reused_nll, &reused_grad);
+  EXPECT_EQ(fresh_nll, reused_nll);
+  EXPECT_EQ(fresh_grad, reused_grad);
+}
 
 // Viterbi against brute-force enumeration.
 class CrfViterbiTest : public ::testing::TestWithParam<int> {};

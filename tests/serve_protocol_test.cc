@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -67,7 +69,14 @@ std::string TestSocketPath(const std::string& name) {
 class ProtocolServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    options_.unix_path = TestSocketPath("pae_protocol_test.sock");
+    // One path per case and process: ctest runs the cases as concurrent
+    // processes, and ListenUnix unlinks whatever sits at the path, so a
+    // shared path would let one case steal another's socket.
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    options_.unix_path =
+        TestSocketPath(std::string("pae_protocol_") + test->name() + "_" +
+                       std::to_string(::getpid()) + ".sock");
     options_.workers = 4;
     server_ = std::make_unique<serve::Server>(options_);
     ASSERT_TRUE(server_->Start().ok());
