@@ -1,20 +1,19 @@
-// Model-load benchmark behind scripts/bench_model_load.sh: the legacy
-// BinaryReader parse vs the mmap'ed `.paez` artifact (checksum-verified
-// first touch and warm structural open), the bytes each path copies,
-// and the int8-embedding cleaning gate (one bootstrap iteration with
-// f32 vs quantized semantic-cleaning vectors on the golden corpus).
+// Model-load benchmark behind scripts/bench_model_load.sh: opening the
+// mmap'ed `.paez` artifact (checksum-verified first touch and warm
+// structural open), the bytes a load copies, and the int8-embedding
+// cleaning gate (one bootstrap iteration with f32 vs quantized
+// semantic-cleaning vectors on the golden corpus).
 //
-//   bench_model_load --model m.crf --paez m.paez [--iterations 50]
+//   bench_model_load --paez m.paez [--iterations 50]
 //                    [--json OUT | -] [--skip-int8-gate]
-//   bench_model_load --make-model m.crf --make-features N
+//   bench_model_load --make-model m.paez --make-features N
 //                    [--make-labels L] [--make-seed S]
 //
-// The --make-model mode writes a synthetic legacy model at production
-// scale (the bundled datagen corpora train only ~1.5k features; field
-// deployments carry hundreds of thousands), with feature strings shaped
-// exactly like the real extractor's (`w[d]=`, `pos[d]=`, `sent=`) and
-// deterministic pseudo-weights. Both formats then serve the same bytes,
-// so the parse-vs-mmap comparison stays apples to apples.
+// The --make-model mode packs a model at production scale (the bundled
+// datagen corpora train only ~1.5k features; field deployments carry
+// hundreds of thousands). It trains a real CrfTagger on synthetic
+// sequences of distinct tokens, so the artifact's feature strings have
+// the real template's shapes (`w[d]=`, `p[d]=`, `pwin=`, `sent=`).
 //
 // All non-timing fields are deterministic for a fixed model + seed, so
 // two runs on the same commit must agree on everything but the seconds.
@@ -36,7 +35,6 @@
 #include "tools/args.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/serial.h"
 #include "util/strings.h"
 
 namespace {
@@ -111,11 +109,6 @@ std::vector<pae::core::Triple> RunCleaningArm(bool quantize_int8) {
   return result.value().final_triples();
 }
 
-// Matches the private constants in crf/crf_tagger.cc; the mode below
-// Load()s the file it wrote, so a drift in either value fails loudly.
-constexpr uint32_t kCrfMagic = 0x43524631;  // "CRF1"
-constexpr uint32_t kCrfVersion = 1;
-
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -123,9 +116,12 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-/// Writes a synthetic legacy model with `num_features` features and
-/// `num_labels` BIO labels directly in the CrfTagger::Save wire format,
-/// then round-trips it through CrfTagger::Load as a self-check.
+/// Trains and packs a field-scale model with `num_labels` BIO labels.
+/// Every token is distinct and the template turns each into five word
+/// features (w[-2..2]), so num_features / 5 tokens give about
+/// `num_features` features, plus ~8% PoS-window ones.
+/// AdaGrad for one epoch: the weights need a trained model's layout, not
+/// its accuracy.
 int MakeModel(const std::string& path, int num_features, int num_labels,
               uint64_t seed) {
   static const char* kAttrs[] = {"weight",   "width", "height", "depth",
@@ -142,69 +138,33 @@ int MakeModel(const std::string& path, int num_features, int num_labels,
     }
   }
 
+  // Few long sequences: training keeps one model-sized gradient buffer
+  // per four sequences (up to 32), so 16 sequences bound set-up memory
+  // to about eight copies of the weights.
+  constexpr size_t kSequences = 16;
+  std::vector<pae::text::LabeledSequence> data(kSequences);
   uint64_t rng = seed;
-  std::vector<std::string> features;
-  features.reserve(static_cast<size_t>(num_features));
-  // The real extractor emits word-identity features in a window, PoS
-  // features, a PoS n-gram, and a sentence-length bucket; cycle through
-  // the same shapes with a synthetic vocabulary.
-  for (int f = 0; f < num_features; ++f) {
-    const int d = f % 5 - 2;  // window offset in [-2, 2]
+  const size_t tokens = static_cast<size_t>(std::max(num_features / 5, 1));
+  for (size_t i = 0; i < tokens; ++i) {
     const uint64_t r = SplitMix64(&rng);
-    std::string feat;
-    switch (f % 7) {
-      case 0:
-      case 1:
-      case 2:
-      case 3:
-        // Unique via the feature index; key length varies like real words.
-        feat = "w[" + std::to_string(d) + "]=tok" + std::to_string(f) +
-               std::string(r % 7, 'x');
-        break;
-      case 4:
-        feat = "pos[" + std::to_string(d) + "]=" + kPos[r % 7] + "_" +
-               std::to_string(f);
-        break;
-      case 5:
-        feat = std::string("posgram=") + kPos[r % 7] + "|" + kPos[(r >> 8) % 7] +
-               "|" + std::to_string(f);
-        break;
-      default:
-        feat = "sent=" + std::to_string(f);
-        break;
-    }
-    features.push_back(std::move(feat));
+    pae::text::LabeledSequence& seq = data[i % kSequences];
+    seq.tokens.push_back("tok" + std::to_string(i));
+    seq.pos.emplace_back(kPos[r % 7]);
+    seq.labels.push_back(labels[(r >> 8) % labels.size()]);
   }
 
-  const size_t L = static_cast<size_t>(num_labels);
-  const size_t dim = static_cast<size_t>(num_features) * L + L * L + 2 * L;
-  std::vector<double> weights(dim, 0.0);
-  for (size_t i = 0; i < dim; ++i) {
-    const uint64_t r = SplitMix64(&rng);
-    // OWL-QN's L1 penalty leaves trained models sparse; mimic ~60%
-    // exact zeros with small nonzero weights elsewhere.
-    if (r % 10 < 6) continue;
-    weights[i] = (static_cast<double>(r % 2001) - 1000.0) / 2000.0;
-  }
-
-  pae::BinaryWriter writer(path, kCrfMagic, kCrfVersion);
-  writer.WriteI32(2);   // window
-  writer.WriteI32(40);  // max_sentence_bucket
-  writer.WriteDouble(0.1);  // c1
-  writer.WriteDouble(1.0);  // c2
-  writer.WriteStringVec(labels);
-  writer.WriteStringVec(features);
-  writer.WriteDoubleVec(weights);
-  const pae::Status finish = writer.Finish();
-  PAE_CHECK(finish.ok()) << finish.ToString();
-
-  pae::crf::CrfTagger check;
-  const pae::Status loaded = check.Load(path);
-  PAE_CHECK(loaded.ok()) << loaded.ToString();
-  PAE_CHECK_EQ(check.model().num_features(),
-               static_cast<size_t>(num_features));
-  std::cerr << "wrote " << path << ": " << labels.size() << " labels, "
-            << features.size() << " features, " << dim << " weights ("
+  pae::crf::CrfOptions options;
+  options.trainer = pae::crf::CrfTrainer::kAdagrad;
+  options.max_iterations = 1;
+  pae::crf::CrfTagger tagger(options);
+  const pae::Status trained = tagger.Train(data);
+  PAE_CHECK(trained.ok()) << trained.ToString();
+  const pae::Status packed = pae::core::PackModelArtifact(
+      tagger, nullptr, pae::core::PackOptions(), path);
+  PAE_CHECK(packed.ok()) << packed.ToString();
+  std::cerr << "wrote " << path << ": " << tagger.model().num_labels()
+            << " labels, " << tagger.model().num_features() << " features, "
+            << tagger.weights_span().size() << " weights ("
             << std::filesystem::file_size(path) << " bytes)\n";
   return 0;
 }
@@ -219,28 +179,17 @@ int main(int argc, char** argv) {
                      args.GetInt("make-labels", 15),
                      static_cast<uint64_t>(args.GetInt("make-seed", 1)));
   }
-  const std::string model_path = args.GetString("model", "");
   const std::string paez_path = args.GetString("paez", "");
-  if (model_path.empty() || paez_path.empty()) {
-    std::cerr << "usage: bench_model_load --model m.crf --paez m.paez\n"
+  if (paez_path.empty()) {
+    std::cerr << "usage: bench_model_load --paez m.paez\n"
               << "                        [--iterations N] [--json OUT|-]\n"
               << "                        [--skip-int8-gate]\n"
-              << "       bench_model_load --make-model m.crf\n"
+              << "       bench_model_load --make-model m.paez\n"
               << "                        [--make-features N] [--make-labels L]"
               << "\n";
     return 2;
   }
   const int iterations = args.GetInt("iterations", 50);
-
-  // --- legacy parse: every table copied into fresh allocations ---
-  const int64_t legacy_copied_before = CounterValue("model.load.bytes_copied");
-  const TimingStats legacy = Time(iterations, [&] {
-    pae::crf::CrfTagger tagger;
-    PAE_CHECK(tagger.Load(model_path).ok());
-  });
-  const int64_t legacy_bytes_copied =
-      (CounterValue("model.load.bytes_copied") - legacy_copied_before) /
-      (iterations + 1);
 
   // --- paez first touch: checksum-verified open reads every page, the
   // pack-time integrity pass an operator runs once per artifact ---
@@ -284,27 +233,20 @@ int main(int argc, char** argv) {
     int8_block = block.str();
   }
 
-  const double speedup = legacy.min / warm.min;
   std::ostringstream json;
   json << "{\n  \"version\": 1,\n  \"benchmark\": \"model-load\",\n"
        << "  \"iterations\": " << iterations << ",\n"
        << "  \"model\": {\n"
-       << "    \"legacy_bytes\": "
-       << std::filesystem::file_size(model_path) << ",\n"
        << "    \"paez_bytes\": " << std::filesystem::file_size(paez_path)
        << ",\n"
        << "    \"labels\": " << meta.num_labels << ",\n"
        << "    \"features\": " << meta.num_features << ",\n"
        << "    \"weights\": " << meta.weight_count << "\n  },\n";
-  AppendStats(&json, "legacy_parse", legacy);
   AppendStats(&json, "paez_first_touch_verified", first_touch);
   AppendStats(&json, "paez_warm_mmap", warm);
-  json << "  \"bytes_copied_per_load\": {\n"
-       << "    \"legacy\": " << legacy_bytes_copied << ",\n"
-       << "    \"paez\": " << paez_bytes_copied << "\n  },\n"
-       << int8_block
-       << "  \"warm_speedup_vs_legacy\": " << pae::FormatDouble(speedup, 1)
-       << "\n}\n";
+  json << int8_block
+       << "  \"bytes_copied_per_load\": {\n"
+       << "    \"paez\": " << paez_bytes_copied << "\n  }\n}\n";
 
   const std::string json_path = args.GetString("json", "-");
   if (json_path == "-") {
@@ -318,7 +260,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "wrote " << json_path << "\n";
   }
-  std::cerr << "legacy min " << legacy.min * 1e3 << " ms, paez warm min "
-            << warm.min * 1e6 << " us, speedup " << speedup << "x\n";
+  std::cerr << "paez first touch min " << first_touch.min * 1e3
+            << " ms, warm min " << warm.min * 1e6 << " us\n";
   return 0;
 }

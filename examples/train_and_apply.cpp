@@ -9,8 +9,10 @@
 
 #include "core/apply.h"
 #include "core/bootstrap.h"
+#include "core/engine.h"
 #include "core/eval.h"
 #include "core/ingest.h"
+#include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "util/logging.h"
@@ -42,16 +44,21 @@ int main() {
             << " triples, " << trained.value().known_pair_keys.size()
             << " accepted <attribute, value> pairs\n";
 
-  // ---- persist ----
+  // ---- compact, then persist as a `.paez` artifact ----
   const std::string model_path =
-      (std::filesystem::temp_directory_path() / "backpacks.crf").string();
+      (std::filesystem::temp_directory_path() / "backpacks.paez").string();
   auto* crf = dynamic_cast<crf::CrfTagger*>(
       trained.value().final_tagger.get());
-  if (crf == nullptr || !crf->Save(model_path).ok()) {
-    std::cerr << "could not persist the model\n";
+  if (crf == nullptr) {
+    std::cerr << "the final model is not a CRF\n";
     return 1;
   }
   const size_t dropped = crf->Compact();  // shed L1 zero-weight features
+  if (!core::PackModelArtifact(*crf, nullptr, core::PackOptions(), model_path)
+           .ok()) {
+    std::cerr << "could not persist the model\n";
+    return 1;
+  }
   std::cout << "persisted " << model_path << " (compacted " << dropped
             << " dead features)\n";
 
@@ -64,8 +71,8 @@ int main() {
   core::ProcessedCorpus corpus_b =
       core::IngestCorpus(crawl_b.corpus, {}).corpus;
 
-  crf::CrfTagger loaded;
-  if (!loaded.Load(model_path).ok()) {
+  auto loaded = core::LoadCrfModel(model_path);
+  if (!loaded.ok()) {
     std::cerr << "could not load the model\n";
     return 1;
   }
@@ -74,7 +81,7 @@ int main() {
   apply.accepted_pairs.insert(trained.value().known_pair_keys.begin(),
                               trained.value().known_pair_keys.end());
   std::vector<core::Triple> triples =
-      core::ExtractWithModel(loaded, corpus_b, apply);
+      core::ExtractWithModel(*loaded.value().tagger, corpus_b, apply);
 
   core::TripleMetrics metrics = core::EvaluateTriples(
       triples, crawl_b.truth, corpus_b.pages.size());

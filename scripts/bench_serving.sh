@@ -39,7 +39,7 @@ cmake --build "${BUILD}" -j "${JOBS}" \
       --target pae-datagen pae-extract pae-serve pae-loadgen > /dev/null
 
 CORPUS="${BUILD}/serving-corpus"
-MODEL="${BUILD}/serving-model.crf"
+MODEL="${BUILD}/serving-model.paez"
 ./"${BUILD}"/tools/pae-datagen --category vacuum \
       --products "${PRODUCTS}" --seed "${SEED}" --out "${CORPUS}" > /dev/null
 ./"${BUILD}"/tools/pae-extract --in "${CORPUS}" \

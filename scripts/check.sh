@@ -15,10 +15,11 @@
 # Pass 1 (default flags) configures build-check/ and runs every ctest
 # target (including pae_lint), then runs an instrumented pae-extract
 # pass over a small synthetic corpus, validates the emitted
-# --metrics-out JSON report, and packs + deep-verifies the mmap'ed
-# .paez model artifact (pass 1b), drives the pae-serve daemon
-# end-to-end over its unix socket — 200 loadgen requests, one hot swap
-# publishing the .paez artifact, protocol shutdown — (pass 1d), then
+# --metrics-out JSON report, deep-verifies the .paez model artifact
+# that run saved and checks that a model which cannot be written fails
+# the run (pass 1b), drives the pae-serve daemon end-to-end over its
+# unix socket — 200 loadgen requests, one hot swap republishing the
+# .paez artifact, protocol shutdown — (pass 1d), then
 # reruns the full suite with
 # PAE_SIMD=scalar (pass 1c) so the portable kernel tier — the one CI
 # hosts without AVX2 would silently fall back to — gets the same
@@ -81,7 +82,7 @@ echo "==> pass 1b: instrumented extraction run + metrics report"
 ./build-check/tools/pae-extract --in build-check/metrics-corpus \
       --out build-check/metrics-triples.tsv --iterations 2 \
       --metrics-out build-check/metrics-report.json \
-      --save-model build-check/metrics-model.crf > /dev/null
+      --save-model build-check/metrics-model.paez > /dev/null
 if command -v python3 > /dev/null 2>&1; then
   python3 - build-check/metrics-report.json <<'PYEOF'
 import json, sys
@@ -108,12 +109,22 @@ else
   done
   echo "metrics report OK (grep-checked; python3 unavailable)"
 fi
-# Pack the trained model into the mmap'ed .paez artifact and deep-verify
-# it (structure + every section checksum): the packed form feeds the
-# serve smoke below, so a packer regression fails here, not there.
-./build-check/tools/pae-model-pack --model build-check/metrics-model.crf \
-      --out build-check/metrics-model.paez
+# Deep-verify the saved .paez artifact (structure + every section
+# checksum): it feeds the serve smoke below, so a packer regression
+# fails here, not there.
 ./build-check/tools/pae-model-pack --check build-check/metrics-model.paez
+# A model that cannot be written is an error, not a "saved model" line:
+# once for a missing directory, once for a .pairs file that cannot be
+# created next to an artifact that can (a directory is in its way).
+mkdir -p build-check/unsaved.paez.pairs
+for target in build-check/no-such-dir/model.paez build-check/unsaved.paez; do
+  if ./build-check/tools/pae-extract --in build-check/metrics-corpus \
+        --out build-check/metrics-triples-unsaved.tsv --iterations 1 \
+        --save-model "${target}" > /dev/null 2>&1; then
+    echo "check.sh: pae-extract --save-model ${target} exited 0" >&2
+    exit 1
+  fi
+done
 
 echo "==> pass 1d: serve smoke (daemon + loadgen + hot swap + shutdown)"
 # End-to-end over the real wire: start the pae-serve daemon on the model
@@ -126,7 +137,7 @@ SMOKE_SOCK="build-check/pae-serve-smoke.sock"
 SMOKE_LOG="build-check/pae-serve-smoke.log"
 rm -f "${SMOKE_SOCK}" "${SMOKE_LOG}"
 ./build-check/tools/pae-serve --socket "${SMOKE_SOCK}" \
-      --model build-check/metrics-model.crf \
+      --model build-check/metrics-model.paez \
       --resources build-check/metrics-corpus --workers 4 \
       > "${SMOKE_LOG}" 2>&1 &
 SMOKE_PID=$!
@@ -140,10 +151,10 @@ done
 grep -q "pae-serve ready" "${SMOKE_LOG}" || {
   echo "check.sh: pae-serve never became ready" >&2
   kill "${SMOKE_PID}" 2>/dev/null || true; exit 1; }
-# The mid-run swap publishes the mmap'ed .paez artifact packed in pass
-# 1b — the legacy-loaded generation 1 and the zero-copy generation 2
-# must serve identical responses (the response checksum in the JSON
-# report is seed-deterministic across both).
+# The mid-run swap republishes the .paez artifact saved in pass 1b as
+# generation 2 — both generations map the same file and must serve
+# identical responses (the response checksum in the JSON report is
+# seed-deterministic across both).
 ./build-check/tools/pae-loadgen --socket "${SMOKE_SOCK}" \
       --corpus build-check/metrics-corpus --requests 200 --threads 2 \
       --swap-at 100 --swap-model build-check/metrics-model.paez \

@@ -128,22 +128,18 @@ std::vector<Triple> ExtractionEngine::Extract(
 }
 
 Result<LoadedCrfModel> LoadCrfModel(const std::string& model_path) {
+  // Zero-copy: map the artifact and bind views in place. The only
+  // model-sized bytes this publishes are shared file pages, which the
+  // model.load.bytes_copied counter proves (labels only).
+  Result<std::shared_ptr<const ModelArtifact>> artifact =
+      ModelArtifact::Open(model_path);
+  if (!artifact.ok()) return artifact.status();
+  Result<crf::PackedCrfModel> packed =
+      MakePackedCrfModel(std::move(artifact).value());
+  if (!packed.ok()) return packed.status();
   LoadedCrfModel loaded;
   loaded.tagger = std::make_shared<crf::CrfTagger>();
-  if (IsPaezFile(model_path)) {
-    // Zero-copy path: map the artifact and bind views in place. The only
-    // model-sized bytes this publishes are shared file pages, which the
-    // model.load.bytes_copied counter proves (labels only).
-    Result<std::shared_ptr<const ModelArtifact>> artifact =
-        ModelArtifact::Open(model_path);
-    if (!artifact.ok()) return artifact.status();
-    Result<crf::PackedCrfModel> packed =
-        MakePackedCrfModel(std::move(artifact).value());
-    if (!packed.ok()) return packed.status();
-    PAE_RETURN_IF_ERROR(loaded.tagger->LoadPacked(std::move(packed).value()));
-  } else {
-    PAE_RETURN_IF_ERROR(loaded.tagger->Load(model_path));
-  }
+  PAE_RETURN_IF_ERROR(loaded.tagger->LoadPacked(std::move(packed).value()));
   std::ifstream pairs(model_path + ".pairs");
   for (std::string line; std::getline(pairs, line);) {
     if (!line.empty()) loaded.accepted_pairs.insert(line);

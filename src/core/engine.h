@@ -157,11 +157,10 @@ struct LoadedCrfModel {
   std::unordered_set<std::string> accepted_pairs;
 };
 
-/// Reads a CRF model file. The format is sniffed from the file's magic:
-/// a `.paez` artifact (pae-model-pack) is mmap'ed and used in place —
-/// microsecond loads, pages shared across processes — while a legacy
-/// CrfTagger::Save file takes the copying parse path. Both yield
-/// byte-identical predictions for the same model.
+/// Reads a `.paez` CRF model artifact (PackModelArtifact). The file is
+/// mmap'ed and used in place — microsecond loads, pages shared across
+/// processes — and predicts byte-identically to the tagger it was
+/// packed from.
 Result<LoadedCrfModel> LoadCrfModel(const std::string& model_path);
 
 /// Loads a persisted CRF model (LoadCrfModel) plus the corpus language

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <span>
 #include <utility>
 
@@ -179,14 +178,6 @@ uint64_t ArtifactChecksum(const void* data, size_t bytes) {
   return h;
 }
 
-bool IsPaezFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  return in.gcount() == sizeof(magic) && magic == kPaezMagic;
-}
-
 Status PackModelArtifact(const crf::CrfTagger& tagger,
                          const embed::Word2Vec* embeddings,
                          const PackOptions& options,
@@ -196,7 +187,7 @@ Status PackModelArtifact(const crf::CrfTagger& tagger,
   }
   if (tagger.packed()) {
     return Status::FailedPrecondition(
-        "paez: tagger is already packed; pack from the legacy file");
+        "paez: tagger is already packed; pack from the trained tagger");
   }
   const crf::CrfModel& model = tagger.model();
   uint64_t flags = kPaezFlagCrf;

@@ -129,11 +129,6 @@ static_assert(sizeof(PaezEmbedMeta) == 24, "embed meta layout is the format");
 /// FNV-1a 64-bit over a byte range; the artifact's only checksum.
 uint64_t ArtifactChecksum(const void* data, size_t bytes);
 
-/// True when the file starts with the PAEZ magic — the sniff the
-/// engine/tools use to route between the legacy BinaryReader parse and
-/// the mmap path. False on unreadable/short files.
-bool IsPaezFile(const std::string& path);
-
 struct PackOptions {
   /// Write the embedding matrix as per-row affine int8 (+ QuantParams
   /// section) instead of float32. The accuracy gate for this variant
@@ -143,11 +138,11 @@ struct PackOptions {
 
 /// Packs a trained CRF tagger (and optionally embeddings) into a
 /// `.paez` artifact at `out_path`. Deterministic: the same model bytes
-/// always produce the same file. The tagger must be legacy-loaded or
-/// freshly trained (not itself packed). An existing `out_path` is
-/// replaced, never truncated: the bytes go to a temporary file in the
-/// same directory that is fsync'ed and renamed over it, so a process
-/// that has the old artifact mapped keeps reading the old bytes.
+/// always produce the same file. The tagger must be trained in memory
+/// (not itself packed). An existing `out_path` is replaced, never
+/// truncated: the bytes go to a temporary file in the same directory
+/// that is fsync'ed and renamed over it, so a process that has the old
+/// artifact mapped keeps reading the old bytes.
 Status PackModelArtifact(const crf::CrfTagger& tagger,
                          const embed::Word2Vec* embeddings,
                          const PackOptions& options,

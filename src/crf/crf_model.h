@@ -103,7 +103,7 @@ class CrfModel {
   /// mmap'ed model artifact section). The view's probe layout came from
   /// FlatStringInterner::ExportPacked, so LookupFeature returns exactly
   /// the ids the original interner assigned — inference over a packed
-  /// model is byte-identical to the legacy-loaded one. The caller keeps
+  /// model is byte-identical to the trained one. The caller keeps
   /// the backing memory alive (CrfTagger::LoadPacked pins the mapping).
   void BindPackedFeatures(util::StringTableView view) {
     PAE_CHECK(features_.empty())
@@ -119,7 +119,7 @@ class CrfModel {
                             std::string* arena) const {
     PAE_CHECK(!packed_features_.bound())
         << "ExportPackedFeatures on a packed model (repack from the "
-           "legacy file instead)";
+           "trained tagger instead)";
     features_.ExportPacked(slots, keys, arena);
   }
 

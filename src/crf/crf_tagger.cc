@@ -6,7 +6,6 @@
 #include "util/interner.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/serial.h"
 #include "util/thread_pool.h"
 
 namespace pae::crf {
@@ -326,15 +325,6 @@ text::SequenceTagger::ScoredPrediction CrfTagger::PredictScored(
   return ScoreCompiled(compiled);
 }
 
-}  // namespace pae::crf
-
-namespace pae::crf {
-
-namespace {
-constexpr uint32_t kCrfMagic = 0x43524631;  // "CRF1"
-constexpr uint32_t kCrfVersion = 1;
-}  // namespace
-
 size_t CrfTagger::Compact() {
   // A packed tagger's dictionaries live in a read-only mapping; the
   // artifact was compacted (or not) when it was packed.
@@ -381,76 +371,6 @@ size_t CrfTagger::Compact() {
   PAE_CHECK_EQ(weights_.size(), model_.WeightDim());
   ++generation_;
   return removed;
-}
-
-Status CrfTagger::Save(const std::string& path) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("CRF: saving an untrained model");
-  }
-  if (packed_) {
-    return Status::FailedPrecondition(
-        "CRF: Save on a packed (mmap) model; the .paez artifact on disk "
-        "is already the serialized form");
-  }
-  BinaryWriter writer(path, kCrfMagic, kCrfVersion);
-  writer.WriteI32(options_.features.window);
-  writer.WriteI32(options_.features.max_sentence_bucket);
-  writer.WriteDouble(options_.c1);
-  writer.WriteDouble(options_.c2);
-  writer.WriteStringVec(model_.labels());
-  std::vector<std::string> feature_names;
-  feature_names.reserve(model_.num_features());
-  for (size_t f = 0; f < model_.num_features(); ++f) {
-    feature_names.emplace_back(model_.FeatureName(static_cast<int>(f)));
-  }
-  writer.WriteStringVec(feature_names);
-  writer.WriteDoubleVec(weights_);
-  return writer.Finish();
-}
-
-Status CrfTagger::Load(const std::string& path) {
-  BinaryReader reader(path, kCrfMagic, kCrfVersion);
-  if (!reader.ok()) return reader.status();
-  int32_t window = 0, bucket = 0;
-  double c1 = 0, c2 = 0;
-  std::vector<std::string> labels, features;
-  std::vector<double> weights;
-  if (!reader.ReadI32(&window) || !reader.ReadI32(&bucket) ||
-      !reader.ReadDouble(&c1) || !reader.ReadDouble(&c2) ||
-      !reader.ReadStringVec(&labels) || !reader.ReadStringVec(&features) ||
-      !reader.ReadDoubleVec(&weights)) {
-    return reader.status().ok()
-               ? Status::Internal("CRF: malformed model file")
-               : reader.status();
-  }
-  options_.features.window = window;
-  options_.features.max_sentence_bucket = bucket;
-  options_.c1 = c1;
-  options_.c2 = c2;
-  model_ = CrfModel();
-  model_.ReserveLabels(labels.size());
-  model_.ReserveFeatures(features.size());
-  for (const std::string& label : labels) model_.AddLabel(label);
-  for (const std::string& feature : features) model_.AddFeature(feature);
-  if (weights.size() != model_.WeightDim()) {
-    return Status::InvalidArgument("CRF: weight dimension mismatch");
-  }
-  // Legacy parse: every byte of the model was copied out of the file
-  // into owned memory. The counter is the before/after evidence for the
-  // zero-copy artifact path (LoadPacked copies labels only).
-  size_t copied = weights.size() * sizeof(double);
-  for (const std::string& label : labels) copied += label.size();
-  for (const std::string& feature : features) copied += feature.size();
-  util::MetricsRegistry::Global()
-      .GetCounter("model.load.bytes_copied")
-      ->Add(static_cast<int64_t>(copied));
-  weights_ = std::move(weights);
-  weights_span_ = weights_;
-  packed_ = false;
-  packed_owner_.reset();
-  trained_ = true;
-  ++generation_;
-  return Status::Ok();
 }
 
 Status CrfTagger::LoadPacked(PackedCrfModel packed) {

@@ -78,24 +78,17 @@ class CrfTagger : public text::SequenceTagger {
   std::string Name() const override { return "crf"; }
 
   /// Monotonic counter bumped whenever the model or weights change
-  /// (successful Train, Load, and a Compact that removed features).
-  /// Compiled-sequence caches key their feature-id remaps on this.
+  /// (successful Train or LoadPacked, and a Compact that removed
+  /// features). Compiled-sequence caches key their feature-id remaps on
+  /// this.
   uint64_t Generation() const { return generation_; }
 
-  /// Persists the trained model (labels, feature dictionary, weights,
-  /// feature-template configuration) to `path`. FailedPrecondition on a
-  /// packed (mmap-backed) tagger — the artifact on disk already *is*
-  /// the serialized form.
-  Status Save(const std::string& path) const;
-  /// Restores a model previously written by Save (the legacy parse
-  /// path: every table is copied into freshly allocated memory).
-  Status Load(const std::string& path);
   /// Binds the tagger to a packed model without copying: the feature
   /// table and weights stay in `packed.owner`'s memory (an mmap'ed
   /// artifact), so "loading" costs label strings only. Predictions are
-  /// byte-identical to the Load() path for the same model.
+  /// byte-identical to the trained tagger the artifact was packed from.
   Status LoadPacked(PackedCrfModel packed);
-  /// True when backed by a packed artifact (Save/Compact unavailable).
+  /// True when backed by a packed artifact (Compact unavailable).
   bool packed() const { return packed_; }
 
   /// Drops features whose weights are all exactly zero — OWL-QN's L1
@@ -111,7 +104,7 @@ class CrfTagger : public text::SequenceTagger {
   /// weights_span() which is valid in both modes.
   const std::vector<double>& weights() const { return weights_; }
   /// The weights inference runs over: the owned vector after
-  /// Train/Load/Compact, the mapped section after LoadPacked.
+  /// Train/Compact, the mapped section after LoadPacked.
   std::span<const double> weights_span() const { return weights_span_; }
   const OwlqnReport& training_report() const { return report_; }
   bool trained() const { return trained_; }

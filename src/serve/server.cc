@@ -269,8 +269,7 @@ bool Server::HandleRequest(const Request& request,
     }
     case Op::kPublish: {
       // Timed model-load-to-ready: the latency an operator actually
-      // waits for on a hot swap. A `.paez` artifact lands in the
-      // microsecond buckets; a legacy parse in the tens of milliseconds.
+      // waits for on a hot swap (the `.paez` map plus the resources).
       Result<std::shared_ptr<const core::ExtractionEngine>> engine = [&] {
         util::ScopedTimer timer(publish_load_seconds_);
         return core::LoadCrfEngine(request.publish.model_path,

@@ -152,8 +152,7 @@ class Server {
   util::Counter* swaps_counter_;
   util::Histogram* request_seconds_;
   /// Model-load-to-engine-ready time of kPublish hot swaps
-  /// ("serve.publish.load_seconds"): the observable difference between
-  /// the legacy parse and the mmap'ed `.paez` path.
+  /// ("serve.publish.load_seconds").
   util::Histogram* publish_load_seconds_;
 };
 

@@ -1,8 +1,8 @@
 // The `.paez` zero-copy model artifact: pack/open round-trips,
-// byte-identical inference between the legacy parse and the mmap'ed
-// load (at 1 and 8 threads and on the scalar kernel tier), the
-// zero-copy claim proven through the model.load.bytes_copied counter,
-// and the f32/int8 packed embedding views.
+// byte-identical inference between the trained in-memory tagger and
+// the mmap'ed load (at 1 and 8 threads and on the scalar kernel tier),
+// the zero-copy claim proven through the model.load.bytes_copied
+// counter, and the f32/int8 packed embedding views.
 
 #include <gtest/gtest.h>
 
@@ -42,11 +42,10 @@ class ScopedIsa {
 };
 
 /// One bootstrap-trained model + corpus, built once per process: the
-/// realistic fixture behind every cross-format comparison here.
+/// realistic fixture behind every packed-vs-trained comparison here.
 struct TrainedFixture {
   core::ProcessedCorpus corpus;
   std::shared_ptr<crf::CrfTagger> tagger;  // the in-memory original
-  std::string legacy_path;                 // CrfTagger::Save output
   std::string paez_path;                   // packed artifact
 };
 
@@ -73,8 +72,6 @@ const TrainedFixture& Fixture() {
         trained.value().final_tagger);
     PAE_CHECK(f->tagger != nullptr);
 
-    f->legacy_path = TempPath("fixture.crf");
-    PAE_CHECK(f->tagger->Save(f->legacy_path).ok());
     f->paez_path = TempPath("fixture.paez");
     PAE_CHECK(core::PackModelArtifact(*f->tagger, nullptr,
                                       core::PackOptions(), f->paez_path)
@@ -97,12 +94,6 @@ crf::CrfTagger LoadPackedFixture() {
 
 // ---------------- format round-trip ----------------
 
-TEST(ModelArtifactTest, SniffDistinguishesFormats) {
-  EXPECT_TRUE(core::IsPaezFile(Fixture().paez_path));
-  EXPECT_FALSE(core::IsPaezFile(Fixture().legacy_path));
-  EXPECT_FALSE(core::IsPaezFile(TempPath("does_not_exist.paez")));
-}
-
 TEST(ModelArtifactTest, OpenWithChecksumVerificationSucceeds) {
   core::ModelArtifact::OpenOptions options;
   options.verify_checksums = true;
@@ -119,7 +110,9 @@ TEST(ModelArtifactTest, OpenWithChecksumVerificationSucceeds) {
   // Weight and vector blocks are page-aligned so the kernels see the
   // same alignment mmap grants a fresh allocation.
   for (const core::PaezSection& s : a.sections()) {
-    if (s.kind == core::kCrfWeights) EXPECT_EQ(s.offset % 4096, 0u);
+    if (s.kind == core::kCrfWeights) {
+      EXPECT_EQ(s.offset % 4096, 0u);
+    }
   }
 }
 
@@ -129,10 +122,6 @@ TEST(ModelArtifactTest, PackingAPackedTaggerIsRefused) {
   const Status status = core::PackModelArtifact(
       packed, nullptr, core::PackOptions(), TempPath("repack.paez"));
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  // Save is equally unavailable: the artifact on disk already is the
-  // serialized form.
-  EXPECT_EQ(packed.Save(TempPath("resave.crf")).code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(ModelArtifactTest, RepackingALiveArtifactLeavesItsMappingReadable) {
@@ -175,17 +164,16 @@ TEST(ModelArtifactTest, RepackingALiveArtifactLeavesItsMappingReadable) {
   std::filesystem::remove(path);
 }
 
-// ---------------- cross-format equivalence ----------------
+// ---------------- packed vs trained equivalence ----------------
 
-TEST(ModelArtifactTest, PackedPredictionsMatchLegacyExactly) {
-  crf::CrfTagger legacy;
-  ASSERT_TRUE(legacy.Load(Fixture().legacy_path).ok());
+TEST(ModelArtifactTest, PackedPredictionsMatchTrainedExactly) {
+  const crf::CrfTagger& trained = *Fixture().tagger;
   crf::CrfTagger packed = LoadPackedFixture();
 
   int compared = 0;
   for (const auto& page : Fixture().corpus.pages) {
     for (const auto& sentence : page.sentences) {
-      const auto a = legacy.PredictScored(sentence);
+      const auto a = trained.PredictScored(sentence);
       const auto b = packed.PredictScored(sentence);
       EXPECT_EQ(a.labels, b.labels);
       // Same doubles, same arithmetic: bitwise equality, not tolerance.
@@ -195,15 +183,16 @@ TEST(ModelArtifactTest, PackedPredictionsMatchLegacyExactly) {
   }
 }
 
+// "Formats" here are the two forms of one model: the trained tagger in
+// memory and its mmap'ed artifact.
 TEST(ModelArtifactTest, TriplesByteIdenticalAcrossFormatsAndThreads) {
-  crf::CrfTagger legacy;
-  ASSERT_TRUE(legacy.Load(Fixture().legacy_path).ok());
+  const crf::CrfTagger& trained = *Fixture().tagger;
   crf::CrfTagger packed = LoadPackedFixture();
 
   core::ApplyOptions options;
   options.threads = 1;
   const std::vector<core::Triple> reference =
-      core::ExtractWithModel(legacy, Fixture().corpus, options);
+      core::ExtractWithModel(trained, Fixture().corpus, options);
   ASSERT_FALSE(reference.empty());
 
   for (const int threads : {1, 8}) {
@@ -211,9 +200,9 @@ TEST(ModelArtifactTest, TriplesByteIdenticalAcrossFormatsAndThreads) {
     EXPECT_EQ(core::ExtractWithModel(packed, Fixture().corpus, options),
               reference)
         << "packed triples diverge at threads=" << threads;
-    EXPECT_EQ(core::ExtractWithModel(legacy, Fixture().corpus, options),
+    EXPECT_EQ(core::ExtractWithModel(trained, Fixture().corpus, options),
               reference)
-        << "legacy triples diverge at threads=" << threads;
+        << "trained triples diverge at threads=" << threads;
   }
 
   // And on the scalar kernel tier (the PAE_SIMD=scalar run of check.sh).
@@ -228,29 +217,21 @@ TEST(ModelArtifactTest, TriplesByteIdenticalAcrossFormatsAndThreads) {
 TEST(ModelArtifactTest, PackedLoadCopiesOnlyLabelBytes) {
   util::Counter* copied = util::MetricsRegistry::Global().GetCounter(
       "model.load.bytes_copied");
-  const int64_t weights_bytes = static_cast<int64_t>(
-      Fixture().tagger->weights_span().size() * sizeof(double));
-
-  const int64_t before_legacy = copied->value();
-  {
-    crf::CrfTagger legacy;
-    ASSERT_TRUE(legacy.Load(Fixture().legacy_path).ok());
+  int64_t label_bytes = 0;
+  for (const std::string& label : Fixture().tagger->model().labels()) {
+    label_bytes += static_cast<int64_t>(label.size());
   }
-  const int64_t legacy_delta = copied->value() - before_legacy;
-  EXPECT_GT(legacy_delta, weights_bytes)
-      << "legacy load must copy at least the weight block";
+  ASSERT_GT(label_bytes, 0);
 
-  const int64_t before_packed = copied->value();
+  const int64_t before = copied->value();
   {
     crf::CrfTagger packed = LoadPackedFixture();
     EXPECT_FALSE(packed.weights_span().empty());
   }
-  const int64_t packed_delta = copied->value() - before_packed;
-  // Labels are the single copied piece — a few hundred bytes against a
-  // megabyte-class model. "Zero model-sized allocations" as a counter.
-  EXPECT_LT(packed_delta, 4096);
-  EXPECT_LT(packed_delta * 100, legacy_delta)
-      << "packed load copied more than 1% of the legacy load";
+  // Labels are the single copied piece; the feature table and the
+  // weights stay in the mapping. "Zero model-sized allocations" as a
+  // counter.
+  EXPECT_EQ(copied->value() - before, label_bytes);
 }
 
 // ---------------- packed embeddings ----------------

@@ -1,5 +1,6 @@
 // Serialization: BinaryWriter/Reader primitives, model Save/Load
-// round-trips (CRF, BiLSTM, word2vec), and the on-disk corpus layout.
+// round-trips (BiLSTM, word2vec), the CRF `.paez` artifact's rejection
+// of corrupt files, and the on-disk corpus layout.
 
 #include <gtest/gtest.h>
 
@@ -266,33 +267,25 @@ std::vector<text::LabeledSequence> TinyTrainingData() {
   return data;
 }
 
-TEST(PersistenceTest, CrfSaveLoadPredictsIdentically) {
-  crf::CrfOptions options;
-  options.max_iterations = 25;
-  crf::CrfTagger original(options);
-  ASSERT_TRUE(original.Train(TinyTrainingData()).ok());
-  const std::string path = TempPath("model.crf");
-  ASSERT_TRUE(original.Save(path).ok());
-
-  crf::CrfTagger restored;
-  ASSERT_TRUE(restored.Load(path).ok());
-
-  text::LabeledSequence probe;
-  probe.tokens = {"重量", "は", "7", "kg", "です"};
-  probe.pos = {"NN", "PRT", "NUM", "UNIT", "VB"};
-  EXPECT_EQ(restored.Predict(probe), original.Predict(probe));
-  auto scored_a = original.PredictScored(probe);
-  auto scored_b = restored.PredictScored(probe);
-  ASSERT_EQ(scored_a.confidence.size(), scored_b.confidence.size());
-  for (size_t i = 0; i < scored_a.confidence.size(); ++i) {
-    EXPECT_NEAR(scored_a.confidence[i], scored_b.confidence[i], 1e-12);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(PersistenceTest, CrfSaveUntrainedFails) {
   crf::CrfTagger untrained;
-  EXPECT_FALSE(untrained.Save(TempPath("untrained.crf")).ok());
+  EXPECT_EQ(core::PackModelArtifact(untrained, nullptr, core::PackOptions(),
+                                    TempPath("untrained.paez"))
+                .code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(PersistenceTest, CrfPackIntoMissingDirectoryFails) {
+  crf::CrfOptions options;
+  options.max_iterations = 5;
+  crf::CrfTagger tagger(options);
+  ASSERT_TRUE(tagger.Train(TinyTrainingData()).ok());
+  const std::string dir = TempPath("no_such_dir");
+  fs::remove_all(dir);
+  EXPECT_FALSE(core::PackModelArtifact(tagger, nullptr, core::PackOptions(),
+                                       dir + "/model.paez")
+                   .ok());
+  EXPECT_FALSE(fs::exists(dir));
 }
 
 // Overwrites `count` bytes at `offset` in the file at `path`.
@@ -304,60 +297,6 @@ void CorruptBytes(const std::string& path, size_t offset, size_t count,
   file.seekp(static_cast<std::streamoff>(offset));
   for (size_t i = 0; i < count; ++i) file.put(byte);
   ASSERT_TRUE(file.good());
-}
-
-TEST(PersistenceTest, CrfLoadRejectsCorruptModels) {
-  // A corrupt model file must never load as Ok — a tagger silently
-  // built from garbage weights would poison every downstream triple.
-  crf::CrfOptions options;
-  options.max_iterations = 10;
-  crf::CrfTagger original(options);
-  ASSERT_TRUE(original.Train(TinyTrainingData()).ok());
-  const std::string good = TempPath("corrupt_base.crf");
-  ASSERT_TRUE(original.Save(good).ok());
-  const size_t full_size = static_cast<size_t>(fs::file_size(good));
-  const std::string path = TempPath("corrupt_probe.crf");
-
-  const auto copy_model = [&]() {
-    fs::copy_file(good, path, fs::copy_options::overwrite_existing);
-  };
-
-  // Truncation anywhere in the file: sample offsets from mid-header to
-  // one byte short of complete.
-  for (const size_t size :
-       {size_t{4}, size_t{16}, size_t{40}, full_size / 2, full_size - 1}) {
-    ASSERT_LT(size, full_size);
-    copy_model();
-    fs::resize_file(path, size);
-    crf::CrfTagger restored;
-    const Status status = restored.Load(path);
-    EXPECT_FALSE(status.ok()) << "loaded a model truncated to " << size
-                              << " of " << full_size << " bytes";
-  }
-
-  // Flipped magic byte.
-  copy_model();
-  CorruptBytes(path, 0, 1, '\x00');
-  {
-    crf::CrfTagger restored;
-    EXPECT_FALSE(restored.Load(path).ok());
-  }
-
-  // Corrupt container length word. The CRF layout is header (8 bytes) +
-  // i32 window + i32 bucket + double c1 + double c2 = 32 bytes, then the
-  // label StringVec's length word; 0xFFFFFFFF there exceeds
-  // kMaxSerialElements and must be rejected, not allocated.
-  copy_model();
-  CorruptBytes(path, 32, 4, '\xFF');
-  {
-    crf::CrfTagger restored;
-    const Status status = restored.Load(path);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
-  }
-
-  std::remove(good.c_str());
-  std::remove(path.c_str());
 }
 
 // ---------------- .paez artifact corruption ----------------
@@ -443,7 +382,6 @@ TEST(PaezCorruptionTest, TruncatedFileRejected) {
 TEST(PaezCorruptionTest, BadMagicRejected) {
   const std::string path = CopyArtifact("bad_magic.paez");
   CorruptBytes(path, 0, 1, '\x00');
-  EXPECT_FALSE(core::IsPaezFile(path));
   auto artifact = core::ModelArtifact::Open(path);
   ASSERT_FALSE(artifact.ok());
   EXPECT_EQ(artifact.status().code(), StatusCode::kInvalidArgument);

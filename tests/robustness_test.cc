@@ -9,8 +9,10 @@
 #include <fstream>
 
 #include "core/bootstrap.h"
+#include "core/engine.h"
 #include "core/eval.h"
 #include "core/ingest.h"
+#include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "html/parser.h"
@@ -96,15 +98,13 @@ TEST(HtmlFuzzTest, GiantAttributeSoup) {
 
 TEST(CorruptModelTest, GarbageFileRejected) {
   const std::string path =
-      (fs::temp_directory_path() / "pae_garbage.crf").string();
+      (fs::temp_directory_path() / "pae_garbage.paez").string();
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a model file at all, sorry";
   }
-  crf::CrfTagger tagger;
-  Status status = tagger.Load(path);
-  EXPECT_FALSE(status.ok());
-  EXPECT_FALSE(tagger.trained());
+  Result<core::LoadedCrfModel> model = core::LoadCrfModel(path);
+  EXPECT_FALSE(model.ok());
   std::remove(path.c_str());
 }
 
@@ -123,10 +123,14 @@ TEST(CorruptModelTest, BitFlippedModelDoesNotCrash) {
   crf::CrfTagger tagger(options);
   ASSERT_TRUE(tagger.Train(data).ok());
   const std::string path =
-      (fs::temp_directory_path() / "pae_bitflip.crf").string();
-  ASSERT_TRUE(tagger.Save(path).ok());
+      (fs::temp_directory_path() / "pae_bitflip.paez").string();
+  ASSERT_TRUE(
+      core::PackModelArtifact(tagger, nullptr, core::PackOptions(), path)
+          .ok());
 
-  // Flip bytes in the middle of the file (after the header) and load.
+  // Flip bytes anywhere past the magic and load the way the serving
+  // path does: payload checksums off, so a flip inside a section reaches
+  // the packed tagger instead of being caught by its checksum.
   for (int trial = 0; trial < 8; ++trial) {
     std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
     const auto size = fs::file_size(path);
@@ -135,14 +139,13 @@ TEST(CorruptModelTest, BitFlippedModelDoesNotCrash) {
     char byte = static_cast<char>(rng.NextBounded(256));
     file.write(&byte, 1);
     file.close();
-    crf::CrfTagger victim;
     // Either loads (benign flip) or fails with a Status — never crashes.
-    Status status = victim.Load(path);
-    if (status.ok()) {
+    Result<core::LoadedCrfModel> victim = core::LoadCrfModel(path);
+    if (victim.ok()) {
       text::LabeledSequence probe;
       probe.tokens = {"a", "5"};
       probe.pos = {"NN", "NUM"};
-      victim.Predict(probe);
+      victim.value().tagger->Predict(probe);
     }
   }
   std::remove(path.c_str());

@@ -1,15 +1,19 @@
 // The serving wire layer under attack: WireWriter/WireReader latching,
 // protocol encode/decode round trips, and an adversarial frame corpus
 // fired at a live server — truncated frames, oversize length words,
-// zero-length and byte-by-byte partial writes, mid-request disconnects.
+// zero-length and byte-by-byte partial writes, mid-request disconnects
+// — and a large frame whose send is cut short by a signal.
 // The server must latch the bad connection's error and keep serving
 // every other connection.
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -161,6 +165,40 @@ TEST(WireTest, TrailingBytesFailExpectEnd) {
 // ---------------------------------------------------------------------
 // Protocol encode/decode
 
+// A frame far larger than the socket buffer, whose one sendmsg is
+// interrupted by a signal once the buffer is full: the send returns
+// short, and the rest of the frame must continue exactly where it
+// stopped.
+TEST(FrameTest, InterruptedLargeFrameArrivesIntact) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  serve::Fd writer(fds[0]);
+  serve::Fd reader(fds[1]);
+
+  struct sigaction interrupt {};
+  interrupt.sa_handler = [](int) {};  // no SA_RESTART: the send returns
+  struct sigaction previous {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &interrupt, &previous), 0);
+
+  std::string payload(4 << 20, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 131) >> 7);
+  }
+  Status written;
+  std::thread send([&] { written = serve::WriteFrame(writer, payload); });
+  // Nothing reads yet, so the send blocks on a full buffer; interrupt it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ::pthread_kill(send.native_handle(), SIGUSR1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::string received;
+  const Status read = serve::ReadFrame(reader, &received);
+  send.join();
+  ::sigaction(SIGUSR1, &previous, nullptr);
+  ASSERT_TRUE(written.ok()) << written.ToString();
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  EXPECT_TRUE(received == payload);
+}
+
 TEST(ProtocolTest, RequestRoundTrips) {
   serve::ExtractRequest extract;
   extract.product_id = "p9";
@@ -176,11 +214,11 @@ TEST(ProtocolTest, RequestRoundTrips) {
   EXPECT_EQ(ping.value().op, serve::Op::kPing);
 
   serve::PublishRequest publish;
-  publish.model_path = "m.crf";
+  publish.model_path = "m.paez";
   publish.resources_dir = "dir";
   auto pub = serve::DecodeRequest(serve::EncodePublishRequest(publish));
   ASSERT_TRUE(pub.ok());
-  EXPECT_EQ(pub.value().publish.model_path, "m.crf");
+  EXPECT_EQ(pub.value().publish.model_path, "m.paez");
 }
 
 TEST(ProtocolTest, UnknownOpcodeAndTrailingBytesRejected) {
@@ -371,7 +409,7 @@ TEST_F(ProtocolServerTest, PublishOfMissingModelFailsWithoutSwap) {
   auto client = serve::Client::ConnectUnixSocket(options_.unix_path);
   ASSERT_TRUE(client.ok());
   auto generation =
-      client.value().Publish("/nonexistent/model.crf", "/nonexistent");
+      client.value().Publish("/nonexistent/model.paez", "/nonexistent");
   ASSERT_FALSE(generation.ok());
   // The failed publish must not advance the generation.
   auto ping = client.value().Ping();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -221,66 +222,60 @@ TEST(GenerationCellTest, HotSwapHammerYieldsOnlyPublishedGenerations) {
   EXPECT_EQ(cell.generation(), static_cast<uint64_t>(kGenerations));
 }
 
-// The same hammer against real CRF engines, one legacy-parsed and one
-// mmap-backed (`.paez`): publishes alternate between the two load paths
-// of the SAME model while readers run inference straight over the
-// shared mapping. Every response must be byte-identical to the
-// reference regardless of which format served it. Run under TSan in
+// The same hammer against real CRF engines: publishes alternate between
+// two mmap-backed (`.paez`) generations from two different trainings
+// while readers run inference straight over the shared mappings. The
+// trainings tag the same value under different attribute names, so
+// every response names the generation that served it, and it must be
+// byte-identical to that generation's reference. Run under TSan in
 // check.sh's serve pass; the fixture is built once per process so
 // --gtest_repeat reuses it.
 TEST(GenerationCellTest, HotSwapHammerPackedArtifact) {
   struct Fixture {
-    std::shared_ptr<const core::ExtractionEngine> legacy_engine;
-    std::shared_ptr<const core::ExtractionEngine> packed_engine;
-    std::vector<core::Triple> expected;
+    std::shared_ptr<const core::ExtractionEngine> engines[2];
+    std::vector<core::Triple> expected[2];
   };
   static const Fixture* fixture = [] {
     auto* f = new Fixture();
-    Rng rng(9);
-    std::vector<text::LabeledSequence> data;
-    for (int i = 0; i < 80; ++i) {
-      text::LabeledSequence seq;
-      seq.tokens = {"重量", "は", std::to_string(rng.NextInt(1, 9)), "kg",
-                    "です"};
-      seq.pos = {"NN", "PRT", "NUM", "UNIT", "VB"};
-      seq.labels = {"O", "O", "B-重量", "I-重量", "O"};
-      data.push_back(std::move(seq));
-    }
-    crf::CrfOptions options;
-    options.max_iterations = 20;
-    auto trained = std::make_shared<crf::CrfTagger>(options);
-    PAE_CHECK(trained->Train(data).ok());
-
-    const std::string model_path =
-        TestSocketPath("hammer_model.crf");  // temp-dir path helper
-    const std::string paez_path = TestSocketPath("hammer_model.paez");
-    PAE_CHECK(trained->Save(model_path).ok());
-    PAE_CHECK(core::PackModelArtifact(*trained, nullptr,
-                                      core::PackOptions(), paez_path)
-                  .ok());
-
-    auto legacy = std::make_shared<crf::CrfTagger>();
-    PAE_CHECK(legacy->Load(model_path).ok());
-    auto artifact = core::ModelArtifact::Open(paez_path);
-    PAE_CHECK(artifact.ok()) << artifact.status().ToString();
-    auto packed_model = core::MakePackedCrfModel(std::move(artifact).value());
-    PAE_CHECK(packed_model.ok());
-    auto packed = std::make_shared<crf::CrfTagger>();
-    PAE_CHECK(packed->LoadPacked(std::move(packed_model).value()).ok());
-    PAE_CHECK(packed->packed());
-
     const std::vector<std::string> lexicon = {"重量", "kg", "です"};
     text::PosLexicon pos;
     pos.word_tags = {{"重量", "NN"}, {"kg", "UNIT"}, {"です", "VB"}};
-    f->legacy_engine = std::make_shared<core::ExtractionEngine>(
-        legacy, text::Language::kJa, lexicon, pos, core::EngineOptions{});
-    f->packed_engine = std::make_shared<core::ExtractionEngine>(
-        packed, text::Language::kJa, lexicon, pos, core::EngineOptions{});
-    auto scratch = core::ExtractionEngine::NewScratch();
-    f->expected = f->legacy_engine->Extract(
-        "p1", "<p>重量は7kgです。</p>", scratch.get());
-    PAE_CHECK(!f->expected.empty())
-        << "fixture page must actually extract, or the hammer is vacuous";
+    const char* const attributes[2] = {"重量", "質量"};
+    for (int g = 0; g < 2; ++g) {
+      Rng rng(9);
+      std::vector<text::LabeledSequence> data;
+      for (int i = 0; i < 80; ++i) {
+        text::LabeledSequence seq;
+        seq.tokens = {"重量", "は", std::to_string(rng.NextInt(1, 9)), "kg",
+                      "です"};
+        seq.pos = {"NN", "PRT", "NUM", "UNIT", "VB"};
+        seq.labels = {"O", "O", std::string("B-") + attributes[g],
+                      std::string("I-") + attributes[g], "O"};
+        data.push_back(std::move(seq));
+      }
+      crf::CrfOptions options;
+      options.max_iterations = 20;
+      crf::CrfTagger trained(options);
+      PAE_CHECK(trained.Train(data).ok());
+      const std::string paez_path = TestSocketPath(
+          "hammer_model" + std::to_string(g) + ".paez");  // temp-dir helper
+      PAE_CHECK(core::PackModelArtifact(trained, nullptr,
+                                        core::PackOptions(), paez_path)
+                    .ok());
+      auto loaded = core::LoadCrfModel(paez_path);
+      PAE_CHECK(loaded.ok()) << loaded.status().ToString();
+      PAE_CHECK(loaded.value().tagger->packed());
+      f->engines[g] = std::make_shared<core::ExtractionEngine>(
+          loaded.value().tagger, text::Language::kJa, lexicon, pos,
+          core::EngineOptions{});
+      auto scratch = core::ExtractionEngine::NewScratch();
+      f->expected[g] = f->engines[g]->Extract(
+          "p1", "<p>重量は7kgです。</p>", scratch.get());
+      PAE_CHECK(!f->expected[g].empty())
+          << "fixture page must actually extract, or the hammer is vacuous";
+    }
+    PAE_CHECK(f->expected[0] != f->expected[1])
+        << "the two generations must be told apart by their output";
     return f;
   }();
 
@@ -301,7 +296,8 @@ TEST(GenerationCellTest, HotSwapHammerPackedArtifact) {
         if (lease.empty()) continue;
         std::vector<core::Triple> triples = lease.engine()->Extract(
             "p1", "<p>重量は7kgです。</p>", scratch.get());
-        if (triples != fixture->expected) {
+        const int g = lease.engine() == fixture->engines[0].get() ? 0 : 1;
+        if (triples != fixture->expected[g]) {
           mismatches.fetch_add(1, std::memory_order_seq_cst);
         }
         reads.fetch_add(1, std::memory_order_seq_cst);
@@ -310,8 +306,7 @@ TEST(GenerationCellTest, HotSwapHammerPackedArtifact) {
   }
 
   for (int g = 1; g <= kSwaps; ++g) {
-    cell.Publish(g % 2 == 0 ? fixture->packed_engine
-                            : fixture->legacy_engine);
+    cell.Publish(fixture->engines[g % 2]);
     std::this_thread::yield();
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -570,8 +565,10 @@ TEST(ExtractionEngineTest, RealCrfEngineMatchesBatchApply) {
   const auto dir =
       std::filesystem::path(::testing::TempDir()) / "serve_crf_engine";
   std::filesystem::create_directories(dir);
-  const std::string model_path = (dir / "model.crf").string();
-  ASSERT_TRUE(crf_tagger->Save(model_path).ok());
+  const std::string model_path = (dir / "model.paez").string();
+  ASSERT_TRUE(core::PackModelArtifact(*crf_tagger, nullptr,
+                                      core::PackOptions(), model_path)
+                  .ok());
   ASSERT_TRUE(core::SaveCorpus(crawl.corpus, dir.string()).ok());
 
   core::EngineOptions engine_options;
@@ -609,8 +606,8 @@ TEST(ExtractionEngineTest, RealCrfEngineMatchesBatchApply) {
         page.product_id, page.html, scratch.get());
     served.insert(served.end(), one.begin(), one.end());
   }
-  // The engine loaded accepted_pairs from model.crf.pairs; mirror that
-  // in the batch options for an apples-to-apples comparison.
+  // Mirror the engine's accepted_pairs (read from model.paez.pairs when
+  // present) in the batch options for an apples-to-apples comparison.
   core::ApplyOptions paired = batch_options;
   paired.accepted_pairs = engine.value()->options().accepted_pairs;
   std::vector<core::Triple> batch_paired =
@@ -672,6 +669,40 @@ TEST(ServerSmokeTest, TwoHundredRequestsOneSwapCleanShutdown) {
   server.WaitUntilStopRequested();
   server.Stop();
   EXPECT_FALSE(server.running());
+}
+
+// Loopback TCP must not wait on the peer's delayed-ACK timer (~40 ms
+// on Linux). A frame written as two segments (length word, then
+// payload) holds the payload back under Nagle's algorithm until the
+// length word is ACKed, so every request and every response would
+// stall; the p50 bound is half the timer.
+TEST(ServerSmokeTest, TcpRequestsDoNotWaitOnDelayedAck) {
+  serve::ServerOptions options;
+  options.tcp_port = 0;
+  options.workers = 2;
+  serve::Server server(options);
+  ASSERT_TRUE(server.Start().ok());
+  server.Publish(MakeStubEngine("色"));
+  auto client =
+      serve::Client::ConnectTcpSocket("127.0.0.1", server.tcp_port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const std::vector<core::Triple> expected = BatchReference("p1", "色");
+  std::vector<double> latencies_ms;
+  for (int i = 0; i < 200; ++i) {
+    const auto begin = std::chrono::steady_clock::now();
+    auto response = client.value().Extract("p1", kPageHtml);
+    latencies_ms.push_back(std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - begin)
+                               .count());
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response.value().triples, expected);
+  }
+  std::nth_element(latencies_ms.begin(),
+                   latencies_ms.begin() + latencies_ms.size() / 2,
+                   latencies_ms.end());
+  EXPECT_LT(latencies_ms[latencies_ms.size() / 2], 20.0);
+  server.Stop();
 }
 
 TEST(ServerSmokeTest, ExtractBeforePublishFailsPrecondition) {

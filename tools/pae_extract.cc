@@ -4,6 +4,8 @@
 //   pae-extract --in /tmp/v --out /tmp/v/triples.tsv
 //   pae-extract --in /tmp/v --out out.tsv --model bilstm --iterations 3
 //   pae-extract --in /tmp/v --out out.tsv --eval       # score vs truth.tsv
+//   pae-extract --in /tmp/v --out out.tsv --save-model m.paez
+//   pae-extract --in /tmp/new --out new.tsv --apply-model m.paez
 //
 // Flags: --model crf|bilstm|ensemble-intersect|ensemble-union
 //        --iterations N (default 5)      --seed S
@@ -11,6 +13,12 @@
 //        --no-diversification            --min-confidence X
 //        --epochs N (BiLSTM)             --eval
 //        --metrics-out report.json ("-" = stdout) --no-metrics
+//        --threads N (0 = all hardware threads)
+//        --save-model m.paez  packs the final CRF as a `.paez` artifact
+//                             and writes the accepted pairs to
+//                             m.paez.pairs (CRF only)
+//        --apply-model m.paez tags the corpus with a saved model instead
+//                             of bootstrapping
 
 #include <fstream>
 #include <iostream>
@@ -23,6 +31,7 @@
 #include "core/engine.h"
 #include "core/eval.h"
 #include "core/ingest.h"
+#include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "math/kernels.h"
 #include "util/logging.h"
@@ -67,10 +76,10 @@ int Usage() {
             << "                    collection)\n"
             << "                   [--threads N]  (0 = all hardware threads;\n"
             << "                    output is identical for every N)\n"
-            << "                   [--save-model m.crf]  (CRF only; also\n"
-            << "                    writes m.crf.pairs)\n"
+            << "                   [--save-model m.paez]  (CRF only; also\n"
+            << "                    writes m.paez.pairs)\n"
             << "       pae-extract --in <dir> --out <tsv> --apply-model\n"
-            << "                   m.crf   (tag without bootstrapping)\n";
+            << "                   m.paez   (tag without bootstrapping)\n";
   return 2;
 }
 
@@ -201,7 +210,8 @@ int main(int argc, char** argv) {
       std::cerr << "--save-model: final model is not a CRF\n";
       return 1;
     }
-    pae::Status saved = crf_tagger->Save(save_model);
+    pae::Status saved = pae::core::PackModelArtifact(
+        *crf_tagger, nullptr, pae::core::PackOptions(), save_model);
     if (!saved.ok()) {
       std::cerr << saved.ToString() << "\n";
       return 1;
@@ -209,6 +219,11 @@ int main(int argc, char** argv) {
     std::ofstream pairs(save_model + ".pairs", std::ios::trunc);
     for (const std::string& key : result.value().known_pair_keys) {
       pairs << key << "\n";
+    }
+    pairs.close();
+    if (!pairs) {
+      std::cerr << "failed writing " << save_model << ".pairs\n";
+      return 1;
     }
     std::cout << "saved model to " << save_model << " (+.pairs)\n";
   }

@@ -2,12 +2,12 @@
 //
 // Connect mode — drive a running daemon:
 //   pae-loadgen --socket /tmp/pae.sock --corpus corpus/ --requests 2000 \
-//               --threads 4 [--swap-at 1000 --swap-model m.crf \
+//               --threads 4 [--swap-at 1000 --swap-model m.paez \
 //               --swap-resources corpus/] [--shutdown-after]
 //
 // Self-serve sweep mode — start an in-process server per worker count
 // and write the serving benchmark JSON:
-//   pae-loadgen --self-serve --model m.crf --resources corpus/ \
+//   pae-loadgen --self-serve --model m.paez --resources corpus/ \
 //               --corpus corpus/ --worker-counts 1,4,8 \
 //               --json BENCH_serving.json
 //
@@ -60,10 +60,10 @@ int Usage() {
       << "                   [--host H] [--requests N] [--threads N]\n"
       << "                   [--warmup N] [--seed S]\n"
       << "                   [--extract-fraction X] [--qps X]\n"
-      << "                   [--swap-at N --swap-model m.crf\n"
+      << "                   [--swap-at N --swap-model m.paez\n"
       << "                    --swap-resources DIR] [--shutdown-after]\n"
       << "                   [--json OUT]\n"
-      << "       pae-loadgen --self-serve --model m.crf --resources DIR\n"
+      << "       pae-loadgen --self-serve --model m.paez --resources DIR\n"
       << "                   --corpus DIR [--worker-counts 1,4,8]\n"
       << "                   [--json BENCH_serving.json] [...same knobs]\n";
   return 2;

@@ -1,32 +1,20 @@
-// CLI: pae-model-pack, the legacy-to-`.paez` artifact converter.
-// Reads a model written by CrfTagger::Save (and optionally embeddings
-// written by Word2Vec::Save), lays it out as the zero-copy mmap format
-// and verifies the written file end to end before exiting.
+// CLI: pae-model-pack, the `.paez` artifact inspector. Validates an
+// artifact written by PackModelArtifact (pae-extract --save-model) with
+// every payload checksum, and prints its contents.
 //
-//   pae-model-pack --model m.crf --out m.paez
-//   pae-model-pack --model m.crf --embeddings w.w2v --int8 --out m.paez
 //   pae-model-pack --check m.paez            (validate + checksums only)
 //   pae-model-pack --info m.paez             (print the section table)
-//
-// A `m.crf.pairs` sidecar (the accepted catalog pairs) is copied to
-// `<out>.pairs` so the serving engine finds it under either name.
 
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "args.h"
 #include "core/model_artifact.h"
-#include "crf/crf_tagger.h"
-#include "embed/word2vec.h"
-#include "util/logging.h"
 
 namespace {
 
 int Usage() {
-  std::cerr << "usage: pae-model-pack --model m.crf [--embeddings w.w2v]\n"
-            << "                      [--int8] --out m.paez\n"
-            << "       pae-model-pack --check m.paez\n"
+  std::cerr << "usage: pae-model-pack --check m.paez\n"
             << "       pae-model-pack --info m.paez\n";
   return 2;
 }
@@ -51,8 +39,7 @@ const char* SectionKindName(uint32_t kind) {
   }
 }
 
-/// Full open with payload checksums — the packer's exit criterion and
-/// the whole job of --check.
+/// Full open with payload checksums — the whole job of --check.
 int Verify(const std::string& path, bool print_table) {
   pae::core::ModelArtifact::OpenOptions options;
   options.verify_checksums = true;
@@ -89,59 +76,7 @@ int Verify(const std::string& path, bool print_table) {
 
 int main(int argc, char** argv) {
   pae::tools::Args args(argc, argv);
-
   if (args.Has("check")) return Verify(args.GetString("check", ""), false);
   if (args.Has("info")) return Verify(args.GetString("info", ""), true);
-
-  const std::string model_path = args.GetString("model", "");
-  const std::string out_path = args.GetString("out", "");
-  if (model_path.empty() || out_path.empty()) return Usage();
-
-  pae::crf::CrfTagger tagger;
-  pae::Status loaded = tagger.Load(model_path);
-  if (!loaded.ok()) {
-    std::cerr << loaded.ToString() << "\n";
-    return 1;
-  }
-
-  pae::embed::Word2Vec embeddings;
-  bool has_embeddings = false;
-  const std::string embeddings_path = args.GetString("embeddings", "");
-  if (!embeddings_path.empty()) {
-    pae::Status eloaded = embeddings.Load(embeddings_path);
-    if (!eloaded.ok()) {
-      std::cerr << eloaded.ToString() << "\n";
-      return 1;
-    }
-    has_embeddings = true;
-  }
-
-  pae::core::PackOptions options;
-  options.quantize_embeddings = args.Has("int8");
-  if (options.quantize_embeddings && !has_embeddings) {
-    std::cerr << "--int8 requires --embeddings\n";
-    return 2;
-  }
-
-  pae::Status packed = pae::core::PackModelArtifact(
-      tagger, has_embeddings ? &embeddings : nullptr, options, out_path);
-  if (!packed.ok()) {
-    std::cerr << packed.ToString() << "\n";
-    return 1;
-  }
-
-  // Copy the accepted-pairs sidecar so `<out>.pairs` travels with the
-  // artifact the way `<model>.pairs` travels with the legacy file.
-  std::ifstream pairs_in(model_path + ".pairs", std::ios::binary);
-  if (pairs_in) {
-    std::ofstream pairs_out(out_path + ".pairs",
-                            std::ios::binary | std::ios::trunc);
-    pairs_out << pairs_in.rdbuf();
-    if (!pairs_out) {
-      std::cerr << "failed copying " << model_path << ".pairs\n";
-      return 1;
-    }
-  }
-
-  return Verify(out_path, false);
+  return Usage();
 }

@@ -3,15 +3,15 @@
 // publishes it behind the generation pointer and serves the
 // length-prefixed protocol until a kShutdown request or SIGINT/SIGTERM.
 //
-//   pae-serve --socket /tmp/pae.sock --model m.crf --resources corpus/
-//   pae-serve --port 0 --model m.crf --resources corpus/ --workers 8
+//   pae-serve --socket /tmp/pae.sock --model m.paez --resources corpus/
+//   pae-serve --port 0 --model m.paez --resources corpus/ --workers 8
 //
 // Flags: --socket PATH | --port N (0 = ephemeral; the resolved port is
 //          printed on the ready line)
-//        --model m.crf --resources DIR  (initial generation; omit both
+//        --model m.paez --resources DIR  (initial generation; omit both
 //          to start empty and publish over the wire)
 //        --workers N (default 4)        --min-confidence X
-//        --no-negation                  --no-pairs (ignore m.crf.pairs)
+//        --no-negation                  --no-pairs (ignore m.paez.pairs)
 //        --metrics-out report.json      (written at shutdown)
 
 #include <csignal>
@@ -36,7 +36,7 @@ void HandleSignal(int sig) { g_signal = sig; }
 int Usage() {
   std::cerr
       << "usage: pae-serve (--socket PATH | --port N)\n"
-      << "                 [--model m.crf --resources DIR]\n"
+      << "                 [--model m.paez --resources DIR]\n"
       << "                 [--workers N] [--min-confidence X]\n"
       << "                 [--no-negation] [--no-pairs]\n"
       << "                 [--metrics-out report.json]\n";
