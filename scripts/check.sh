@@ -115,7 +115,10 @@ fi
 ./build-check/tools/pae-model-pack --check build-check/metrics-model.paez
 # A model that cannot be written is an error, not a "saved model" line:
 # once for a missing directory, once for a .pairs file that cannot be
-# created next to an artifact that can (a directory is in its way).
+# created next to an artifact that can (a directory is in its way). The
+# sidecar is written first, so the second case leaves no artifact
+# behind that would load without its whitelist.
+rm -f build-check/unsaved.paez
 mkdir -p build-check/unsaved.paez.pairs
 for target in build-check/no-such-dir/model.paez build-check/unsaved.paez; do
   if ./build-check/tools/pae-extract --in build-check/metrics-corpus \
@@ -125,6 +128,10 @@ for target in build-check/no-such-dir/model.paez build-check/unsaved.paez; do
     exit 1
   fi
 done
+if [ -e build-check/unsaved.paez ]; then
+  echo "check.sh: a failed .pairs write left build-check/unsaved.paez" >&2
+  exit 1
+fi
 
 echo "==> pass 1d: serve smoke (daemon + loadgen + hot swap + shutdown)"
 # End-to-end over the real wire: start the pae-serve daemon on the model

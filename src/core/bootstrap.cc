@@ -240,6 +240,23 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
   // later cycles — the loop is self-correcting.
   std::vector<text::LabeledSequence> accepted_labeled;
 
+  // Retraining starts from the previous cycle's CRF: the training set
+  // changed only by the cleaned tags, and the L1+L2 objective is convex,
+  // so the old optimum is a near-optimal start. BiLSTM and ensemble
+  // bootstraps retrain from scratch. The previous tagger is dropped as
+  // soon as its successor is trained.
+  std::unique_ptr<text::SequenceTagger> previous;
+  auto train_tagger = [&](text::SequenceTagger& tagger,
+                          const std::vector<text::LabeledSequence>& train) {
+    Status status =
+        config_.model == ModelType::kCrf && previous != nullptr
+            ? static_cast<crf::CrfTagger&>(tagger).Train(
+                  train, static_cast<const crf::CrfTagger&>(*previous))
+            : tagger.Train(train);
+    previous.reset();
+    return status;
+  };
+
   // ---- Tagger–Cleaner cycles (Fig. 1 lines 8–22) ----
   for (int iteration = 0; iteration < config_.iterations; ++iteration) {
     util::ScopedTimer iteration_timer(
@@ -258,7 +275,7 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
     }
     stats.labeled_sentences = train.size();
     std::unique_ptr<text::SequenceTagger> tagger = MakeTagger(iteration);
-    Status train_status = tagger->Train(train);
+    Status train_status = train_tagger(*tagger, train);
     if (!train_status.ok()) return train_status;
 
     // Tag every still-unlabeled sentence on the pool (prediction is
@@ -406,6 +423,7 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
                   << "] candidates=" << stats.candidate_values
                   << " accepted=" << stats.accepted_values
                   << " triples=" << stats.cumulative_triples;
+    previous = std::move(tagger);
   }
 
   result.known_pair_keys.assign(known_value_keys.begin(),
@@ -422,7 +440,7 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
     }
     std::unique_ptr<text::SequenceTagger> final_tagger =
         MakeTagger(config_.iterations);
-    Status trained = final_tagger->Train(train);
+    Status trained = train_tagger(*final_tagger, train);
     if (!trained.ok()) return trained;
     result.final_tagger = std::move(final_tagger);
   }

@@ -5,6 +5,7 @@
 
 #include "core/corpus_io.h"
 #include "core/model_artifact.h"
+#include "util/logging.h"
 
 namespace pae::core {
 
@@ -127,6 +128,18 @@ std::vector<Triple> ExtractionEngine::Extract(
   return out;
 }
 
+Status SaveCrfModel(const crf::CrfTagger& tagger,
+                    const std::vector<std::string>& accepted_pair_keys,
+                    const std::string& model_path) {
+  std::string pairs;
+  for (const std::string& key : accepted_pair_keys) {
+    pairs += key;
+    pairs += '\n';
+  }
+  PAE_RETURN_IF_ERROR(PublishFile(pairs, model_path + ".pairs"));
+  return PackModelArtifact(tagger, nullptr, PackOptions(), model_path);
+}
+
 Result<LoadedCrfModel> LoadCrfModel(const std::string& model_path) {
   // Zero-copy: map the artifact and bind views in place. The only
   // model-sized bytes this publishes are shared file pages, which the
@@ -141,6 +154,13 @@ Result<LoadedCrfModel> LoadCrfModel(const std::string& model_path) {
   loaded.tagger = std::make_shared<crf::CrfTagger>();
   PAE_RETURN_IF_ERROR(loaded.tagger->LoadPacked(std::move(packed).value()));
   std::ifstream pairs(model_path + ".pairs");
+  if (!pairs) {
+    PAE_LOG(WARNING) << model_path << ".pairs is missing: the model "
+                     << "loads without its accepted-pairs whitelist";
+    util::MetricsRegistry::Global()
+        .GetCounter("model.load.pairs_missing")
+        ->Increment();
+  }
   for (std::string line; std::getline(pairs, line);) {
     if (!line.empty()) loaded.accepted_pairs.insert(line);
   }

@@ -157,10 +157,21 @@ struct LoadedCrfModel {
   std::unordered_set<std::string> accepted_pairs;
 };
 
+/// Saves a trained CRF tagger as LoadCrfModel reads it: first the
+/// `model_path + ".pairs"` sidecar (one accepted pair key per line),
+/// then the `.paez` artifact (PackModelArtifact), each through
+/// PublishFile. A sidecar that cannot be written fails the save before
+/// the artifact is touched, so a saved model never lacks its whitelist.
+Status SaveCrfModel(const crf::CrfTagger& tagger,
+                    const std::vector<std::string>& accepted_pair_keys,
+                    const std::string& model_path);
+
 /// Reads a `.paez` CRF model artifact (PackModelArtifact). The file is
 /// mmap'ed and used in place — microsecond loads, pages shared across
 /// processes — and predicts byte-identically to the tagger it was
-/// packed from.
+/// packed from. A missing `.pairs` sidecar loads as an empty whitelist
+/// (every tagged pair passes); it is logged as a warning and counted in
+/// `model.load.pairs_missing`.
 Result<LoadedCrfModel> LoadCrfModel(const std::string& model_path);
 
 /// Loads a persisted CRF model (LoadCrfModel) plus the corpus language

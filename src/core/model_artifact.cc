@@ -36,11 +36,8 @@ struct PendingSection {
   std::string payload;
 };
 
-/// Replaces `path` with `bytes` without ever truncating it: the bytes go
-/// to a fresh file in the same directory, which is fsync'ed and then
-/// renamed over `path`. A process that has the old artifact mapped (a
-/// serving daemon) keeps reading the old inode; truncating in place
-/// would SIGBUS it on the next page past the new end of file.
+}  // namespace
+
 Status PublishFile(const std::string& bytes, const std::string& path) {
   static std::atomic<uint64_t> sequence{0};
   const std::string tmp =
@@ -48,17 +45,19 @@ Status PublishFile(const std::string& bytes, const std::string& path) {
       std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
   std::FILE* file = std::fopen(tmp.c_str(), "wbx");
   if (file == nullptr) {
-    return Status::Internal("paez: cannot open " + tmp + " for write");
+    return Status::Internal("cannot open " + tmp + " for write");
   }
   bool ok = std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size() &&
             std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
   ok = std::fclose(file) == 0 && ok;
   if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
-    return Status::Internal("paez: failed writing " + path);
+    return Status::Internal("failed writing " + path);
   }
   return Status::Ok();
 }
+
+namespace {
 
 /// Lays out `pending` after the header + table, writes the file.
 Status WriteArtifact(uint64_t flags, std::vector<PendingSection> pending,

@@ -136,6 +136,13 @@ struct PackOptions {
   bool quantize_embeddings = false;
 };
 
+/// Replaces `path` with `bytes` without ever truncating it: the bytes go
+/// to a fresh file in the same directory, which is fsync'ed and then
+/// renamed over `path`. A process that has the old file mapped (a
+/// serving daemon) keeps reading the old inode; truncating in place
+/// would SIGBUS it on the next page past the new end of file.
+Status PublishFile(const std::string& bytes, const std::string& path);
+
 /// Packs a trained CRF tagger (and optionally embeddings) into a
 /// `.paez` artifact at `out_path`. Deterministic: the same model bytes
 /// always produce the same file. The tagger must be trained in memory

@@ -1,6 +1,7 @@
 #include "crf/crf_tagger.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "util/interner.h"
@@ -27,6 +28,58 @@ FeatureEncoder& ThreadEncoder(const FeatureConfig& config) {
   static thread_local FeatureEncoder encoder;
   encoder.Reset(config);
   return encoder;
+}
+
+uint64_t NextGeneration() {
+  static std::atomic<uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// Copies `from_w` (laid out for `from`) into `to_w` (laid out for `to`)
+/// by name, following the CrfModel weight layout: unigram weights by
+/// (feature string, label name), transition/start/end by label names.
+/// Entries `from` has no name for keep their value in `to_w`.
+void MapWeightsByName(const CrfModel& from, std::span<const double> from_w,
+                      const CrfModel& to, std::vector<double>* to_w) {
+  const size_t from_labels = from.num_labels();
+  const size_t L = to.num_labels();
+  std::vector<int> label_map(L);
+  for (size_t y = 0; y < L; ++y) {
+    label_map[y] = from.LookupLabel(to.LabelName(static_cast<int>(y)));
+  }
+  for (size_t f = 0; f < to.num_features(); ++f) {
+    const int from_f = from.LookupFeature(to.FeatureName(static_cast<int>(f)));
+    if (from_f < 0) continue;
+    const size_t from_base = static_cast<size_t>(from_f) * from_labels;
+    for (size_t y = 0; y < L; ++y) {
+      if (label_map[y] < 0) continue;
+      (*to_w)[f * L + y] =
+          from_w[from_base + static_cast<size_t>(label_map[y])];
+    }
+  }
+  const size_t from_trans = from.num_features() * from_labels;
+  const size_t to_trans = to.num_features() * L;
+  for (size_t prev = 0; prev < L; ++prev) {
+    if (label_map[prev] < 0) continue;
+    const size_t from_prev = static_cast<size_t>(label_map[prev]);
+    for (size_t y = 0; y < L; ++y) {
+      if (label_map[y] < 0) continue;
+      (*to_w)[to_trans + prev * L + y] =
+          from_w[from_trans + from_prev * from_labels +
+                 static_cast<size_t>(label_map[y])];
+    }
+  }
+  // The start block, then the end block, each one weight per label.
+  for (size_t block = 0; block < 2; ++block) {
+    const size_t from_block =
+        from_trans + from_labels * from_labels + block * from_labels;
+    const size_t to_block = to_trans + L * L + block * L;
+    for (size_t y = 0; y < L; ++y) {
+      if (label_map[y] < 0) continue;
+      (*to_w)[to_block + y] =
+          from_w[from_block + static_cast<size_t>(label_map[y])];
+    }
+  }
 }
 }  // namespace
 
@@ -58,6 +111,17 @@ CompiledSequence CrfTagger::Compile(const text::LabeledSequence& seq,
 }
 
 Status CrfTagger::Train(const std::vector<text::LabeledSequence>& data) {
+  return TrainFrom(data, nullptr);
+}
+
+Status CrfTagger::Train(const std::vector<text::LabeledSequence>& data,
+                        const CrfTagger& start) {
+  PAE_CHECK(&start != this) << "CrfTagger::Train from itself";
+  return TrainFrom(data, &start);
+}
+
+Status CrfTagger::TrainFrom(const std::vector<text::LabeledSequence>& data,
+                            const CrfTagger* start) {
   if (data.empty()) {
     return Status::InvalidArgument("CRF training set is empty");
   }
@@ -150,6 +214,9 @@ Status CrfTagger::Train(const std::vector<text::LabeledSequence>& data) {
   const size_t dim = model_.WeightDim();
   const size_t trans_base = F * L;  // transition/start/end tail block
   weights_.assign(dim, 0.0);
+  if (start != nullptr) {
+    MapWeightsByName(start->model_, start->weights_span_, model_, &weights_);
+  }
 
   util::ThreadPool pool(util::ThreadPool::ResolveThreads(options_.threads));
   // Per-shard accumulators, allocated once and reused by every objective
@@ -261,7 +328,7 @@ Status CrfTagger::Train(const std::vector<text::LabeledSequence>& data) {
   packed_ = false;
   packed_owner_.reset();
   weights_span_ = weights_;
-  ++generation_;
+  generation_ = NextGeneration();
   metrics.GetSeries("crf.features")
       ->Append(static_cast<double>(model_.num_features()));
   metrics.GetSeries("crf.iterations")
@@ -369,7 +436,7 @@ size_t CrfTagger::Compact() {
   weights_ = std::move(new_weights);
   weights_span_ = weights_;
   PAE_CHECK_EQ(weights_.size(), model_.WeightDim());
-  ++generation_;
+  generation_ = NextGeneration();
   return removed;
 }
 
@@ -397,7 +464,7 @@ Status CrfTagger::LoadPacked(PackedCrfModel packed) {
   packed_owner_ = std::move(packed.owner);
   packed_ = true;
   trained_ = true;
-  ++generation_;
+  generation_ = NextGeneration();
   util::MetricsRegistry::Global()
       .GetCounter("model.load.bytes_copied")
       ->Add(static_cast<int64_t>(copied));

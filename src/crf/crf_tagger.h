@@ -64,7 +64,20 @@ class CrfTagger : public text::SequenceTagger {
  public:
   explicit CrfTagger(CrfOptions options = {});
 
+  /// Trains from zero weights.
   Status Train(const std::vector<text::LabeledSequence>& data) override;
+  /// Trains from `start`'s weights instead of zero, for a retraining
+  /// whose data changed only a little (the bootstrap's cycles). After the
+  /// dictionaries are built from `data`, the start weights are copied
+  /// into the new layout by name: unigram weights by (feature string,
+  /// label name), the transition, start and end blocks by label names.
+  /// Features and labels `start` lacks start at 0, and the rest of
+  /// training is unchanged. The start point is a pure function of
+  /// `start`, so the result is as deterministic as a cold Train. `start`
+  /// may be packed or untrained (an untrained one is the zero start),
+  /// but must not be this tagger.
+  Status Train(const std::vector<text::LabeledSequence>& data,
+               const CrfTagger& start);
   std::vector<std::string> Predict(
       const text::LabeledSequence& seq) const override;
   /// Viterbi labels with forward-backward marginal confidences.
@@ -77,10 +90,11 @@ class CrfTagger : public text::SequenceTagger {
   ScoredPrediction PredictScored(const CompiledSequence& compiled) const;
   std::string Name() const override { return "crf"; }
 
-  /// Monotonic counter bumped whenever the model or weights change
-  /// (successful Train or LoadPacked, and a Compact that removed
-  /// features). Compiled-sequence caches key their feature-id remaps on
-  /// this.
+  /// A stamp renewed whenever the model or weights change (successful
+  /// Train or LoadPacked, and a Compact that removed features), unique
+  /// across every tagger in the process: compiled-sequence caches key
+  /// their feature-id remaps on it, and the bootstrap tags each cycle
+  /// with a fresh tagger through one cache.
   uint64_t Generation() const { return generation_; }
 
   /// Binds the tagger to a packed model without copying: the feature
@@ -110,6 +124,8 @@ class CrfTagger : public text::SequenceTagger {
   bool trained() const { return trained_; }
 
  private:
+  Status TrainFrom(const std::vector<text::LabeledSequence>& data,
+                   const CrfTagger* start);
   CompiledSequence Compile(const text::LabeledSequence& seq,
                            bool with_labels) const;
   /// Shared Viterbi + marginals path behind both PredictScored

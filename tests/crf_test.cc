@@ -557,5 +557,113 @@ TEST(CrfTaggerTest, L1SparsifiesWeights) {
   EXPECT_GT(count_zeros(sparse.weights()), count_zeros(dense.weights()));
 }
 
+text::LabeledSequence ColorSentence(const std::string& color) {
+  text::LabeledSequence seq;
+  seq.tokens = {"色", "は", color, "です"};
+  seq.pos = {"NN", "PRT", "NN", "VB"};
+  seq.labels = {"O", "O", "B-色", "O"};
+  return seq;
+}
+
+text::LabeledSequence WeightSentence(const std::string& num) {
+  text::LabeledSequence seq;
+  seq.tokens = {"重", "は", num, "kg", "です"};
+  seq.pos = {"NN", "PRT", "NUM", "UNIT", "VB"};
+  seq.labels = {"O", "O", "B-重", "I-重", "O"};
+  return seq;
+}
+
+TEST(CrfWarmStartTest, ZeroIterationsReturnTheStartMappedByName) {
+  std::vector<text::LabeledSequence> old_data = PatternedData(60, 77);
+  old_data.insert(old_data.begin(), ColorSentence("赤"));
+  CrfOptions options;
+  options.max_iterations = 30;
+  CrfTagger start(options);
+  ASSERT_TRUE(start.Train(old_data).ok());
+
+  // The new set puts 重 first, so its labels get other ids, and adds a
+  // label and features the start has never seen.
+  std::vector<text::LabeledSequence> new_data = old_data;
+  new_data.insert(new_data.begin(), WeightSentence("3"));
+  text::LabeledSequence model_sentence;
+  model_sentence.tokens = {"型", "は", "XR-9", "です"};
+  model_sentence.pos = {"NN", "PRT", "SYM", "VB"};
+  model_sentence.labels = {"O", "O", "B-型", "O"};
+  new_data.push_back(model_sentence);
+  options.max_iterations = 0;
+  CrfTagger warm(options);
+  ASSERT_TRUE(warm.Train(new_data, start).ok());
+  EXPECT_EQ(warm.training_report().iterations, 0);
+
+  const CrfModel& from = start.model();
+  const CrfModel& to = warm.model();
+  ASSERT_NE(from.LabelName(1), to.LabelName(1));
+  ASSERT_EQ(from.LookupLabel("B-型"), -1);
+  const size_t old_l = from.num_labels();
+  const size_t l = to.num_labels();
+  std::vector<int> label_map(l);
+  for (size_t y = 0; y < l; ++y) {
+    label_map[y] = from.LookupLabel(to.LabelName(static_cast<int>(y)));
+  }
+  const std::vector<double>& w = warm.weights();
+  const std::vector<double>& old_w = start.weights();
+  ASSERT_EQ(w.size(), to.WeightDim());
+  size_t shared_nonzero = 0;
+  size_t new_features = 0;
+  for (size_t f = 0; f < to.num_features(); ++f) {
+    const int old_f = from.LookupFeature(to.FeatureName(static_cast<int>(f)));
+    if (old_f < 0) ++new_features;
+    for (size_t y = 0; y < l; ++y) {
+      const double expected =
+          old_f < 0 || label_map[y] < 0
+              ? 0.0
+              : old_w[static_cast<size_t>(old_f) * old_l +
+                      static_cast<size_t>(label_map[y])];
+      ASSERT_EQ(w[f * l + y], expected) << to.FeatureName(static_cast<int>(f))
+                                        << " / " << to.LabelName(
+                                               static_cast<int>(y));
+      if (expected != 0.0) ++shared_nonzero;
+    }
+  }
+  EXPECT_GT(shared_nonzero, 0u);
+  EXPECT_GT(new_features, 0u);
+
+  // Transition (prev*L + y), then start and end blocks (one per label).
+  const size_t trans = to.num_features() * l;
+  const size_t old_trans = from.num_features() * old_l;
+  for (size_t prev = 0; prev < l; ++prev) {
+    for (size_t y = 0; y < l; ++y) {
+      const bool known = label_map[prev] >= 0 && label_map[y] >= 0;
+      EXPECT_EQ(w[trans + prev * l + y],
+                known ? old_w[old_trans +
+                              static_cast<size_t>(label_map[prev]) * old_l +
+                              static_cast<size_t>(label_map[y])]
+                      : 0.0);
+    }
+  }
+  for (size_t block = 0; block < 2; ++block) {
+    for (size_t y = 0; y < l; ++y) {
+      EXPECT_EQ(w[trans + l * l + block * l + y],
+                label_map[y] >= 0
+                    ? old_w[old_trans + old_l * old_l + block * old_l +
+                            static_cast<size_t>(label_map[y])]
+                    : 0.0);
+    }
+  }
+}
+
+TEST(CrfWarmStartTest, RetrainingFromTheOptimumStopsAtOnce) {
+  const std::vector<text::LabeledSequence> data = PatternedData(120, 77);
+  CrfTagger cold;
+  ASSERT_TRUE(cold.Train(data).ok());
+  ASSERT_GT(cold.training_report().iterations, 2);
+
+  CrfTagger warm;
+  ASSERT_TRUE(warm.Train(data, cold).ok());
+  EXPECT_LE(warm.training_report().iterations, 2);
+  text::LabeledSequence probe = WeightSentence("7");
+  EXPECT_EQ(warm.Predict(probe), cold.Predict(probe));
+}
+
 }  // namespace
 }  // namespace pae::crf

@@ -362,6 +362,41 @@ TEST(FeaturePipelineTest, CacheRebindsAcrossGenerations) {
   }
 }
 
+TEST(FeaturePipelineTest, CacheRebindsForAFreshTagger) {
+  auto corpus = MakeCorpus(40, 53);
+  std::vector<const text::LabeledSequence*> refs;
+  for (const auto& seq : corpus) refs.push_back(&seq);
+
+  // The bootstrap trains a new tagger every cycle and tags with one
+  // cache. The second tagger's dictionary numbers the features in
+  // another order, so a remap kept from the first scrambles them.
+  CrfOptions options;
+  options.max_iterations = 12;
+  CrfTagger first(options);
+  ASSERT_TRUE(first.Train(MakeTrainingSet(40)).ok());
+  std::vector<text::LabeledSequence> reversed = MakeTrainingSet(60);
+  std::reverse(reversed.begin(), reversed.end());
+  CrfTagger second(options);
+  ASSERT_TRUE(second.Train(reversed).ok());
+  EXPECT_NE(first.Generation(), second.Generation());
+
+  CompiledCorpus cache;
+  cache.Build(refs, options.features);
+  cache.Bind(first.model(), first.Generation());
+  cache.Bind(second.model(), second.Generation());
+  CompiledSequence compiled;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    cache.Materialize(i, &compiled);
+    const auto cached = second.PredictScored(compiled);
+    const auto direct = second.PredictScored(corpus[i]);
+    ASSERT_EQ(cached.labels, direct.labels) << "sentence " << i;
+    EXPECT_EQ(0, std::memcmp(cached.confidence.data(),
+                             direct.confidence.data(),
+                             direct.confidence.size() * sizeof(double)))
+        << "sentence " << i;
+  }
+}
+
 TEST(FeaturePipelineTest, CachedPredictionsIdenticalAcrossThreadCounts) {
   const auto data = MakeTrainingSet(60);
   CrfOptions options;

@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "core/corpus_io.h"
+#include "core/engine.h"
 #include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
@@ -286,6 +287,43 @@ TEST(PersistenceTest, CrfPackIntoMissingDirectoryFails) {
                                        dir + "/model.paez")
                    .ok());
   EXPECT_FALSE(fs::exists(dir));
+}
+
+TEST(PersistenceTest, CrfSaveWithBlockedPairsWritesNoModel) {
+  crf::CrfOptions options;
+  options.max_iterations = 5;
+  crf::CrfTagger tagger(options);
+  ASSERT_TRUE(tagger.Train(TinyTrainingData()).ok());
+  const std::string model = TempPath("blocked_pairs.paez");
+  fs::remove_all(model);
+  fs::remove_all(model + ".pairs");
+  fs::create_directories(model + ".pairs");  // in the sidecar's way
+  EXPECT_FALSE(core::SaveCrfModel(tagger, {"色\t赤"}, model).ok());
+  EXPECT_FALSE(fs::exists(model));
+  fs::remove_all(model + ".pairs");
+}
+
+TEST(PersistenceTest, CrfSaveLoadKeepsPairsAndCountsAMissingSidecar) {
+  crf::CrfOptions options;
+  options.max_iterations = 5;
+  crf::CrfTagger tagger(options);
+  ASSERT_TRUE(tagger.Train(TinyTrainingData()).ok());
+  const std::string model = TempPath("saved_with_pairs.paez");
+  ASSERT_TRUE(core::SaveCrfModel(tagger, {"色\t赤", "重さ\t3kg"}, model).ok());
+  util::Counter* missing = util::MetricsRegistry::Global().GetCounter(
+      "model.load.pairs_missing");
+  const int64_t missing_before = missing->value();
+  Result<core::LoadedCrfModel> loaded = core::LoadCrfModel(model);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().accepted_pairs,
+            (std::unordered_set<std::string>{"色\t赤", "重さ\t3kg"}));
+  EXPECT_EQ(missing->value(), missing_before);
+
+  fs::remove(model + ".pairs");
+  loaded = core::LoadCrfModel(model);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value().accepted_pairs.empty());
+  EXPECT_EQ(missing->value(), missing_before + 1);
 }
 
 // Overwrites `count` bytes at `offset` in the file at `path`.

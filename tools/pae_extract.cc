@@ -20,7 +20,6 @@
 //        --apply-model m.paez tags the corpus with a saved model instead
 //                             of bootstrapping
 
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -31,7 +30,6 @@
 #include "core/engine.h"
 #include "core/eval.h"
 #include "core/ingest.h"
-#include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "math/kernels.h"
 #include "util/logging.h"
@@ -210,19 +208,10 @@ int main(int argc, char** argv) {
       std::cerr << "--save-model: final model is not a CRF\n";
       return 1;
     }
-    pae::Status saved = pae::core::PackModelArtifact(
-        *crf_tagger, nullptr, pae::core::PackOptions(), save_model);
+    pae::Status saved = pae::core::SaveCrfModel(
+        *crf_tagger, result.value().known_pair_keys, save_model);
     if (!saved.ok()) {
       std::cerr << saved.ToString() << "\n";
-      return 1;
-    }
-    std::ofstream pairs(save_model + ".pairs", std::ios::trunc);
-    for (const std::string& key : result.value().known_pair_keys) {
-      pairs << key << "\n";
-    }
-    pairs.close();
-    if (!pairs) {
-      std::cerr << "failed writing " << save_model << ".pairs\n";
       return 1;
     }
     std::cout << "saved model to " << save_model << " (+.pairs)\n";
