@@ -1,27 +1,24 @@
 #!/usr/bin/env bash
 # Model-load benchmark: opening the mmap'ed .paez artifact at two
-# scales, plus the serving hot-swap publish pass.
+# scales.
 #
 #   scripts/bench_model_load.sh                  # refresh BENCH_model_load.json
 #   scripts/bench_model_load.sh --out custom.json
 #
-# Three passes, merged into one JSON:
+# Two passes, merged into one JSON:
 #   1. trained model  — a real pipeline-trained CRF (~1.5k features):
 #      first-touch vs warm, bytes copied, int8 cleaning gate.
 #   2. field-scale model — trained on synthetic sequences at production
 #      feature counts (the bundled corpora train only ~1.5k features;
 #      deployments carry hundreds of thousands). The headline warm-open
 #      time and the zero-copy proof come from this pass.
-#   3. hot-swap publish — pae-serve on the .paez artifact, pae-loadgen
-#      publishing a new generation mid-run; the serve.publish.load_seconds
-#      histogram and the model.load.bytes_copied counter come from the
-#      server's --metrics-out report.
+# Publishing a model into a serving daemon under load is timed by
+# perfbench's serve_unix workload (serve.publish.ms).
 #
 # Knobs (env):
 #   PAE_BENCH_PRODUCTS=120      corpus size for the trained model
 #   PAE_BENCH_FEATURES=200000   approximate field-scale feature count
 #   PAE_BENCH_ITERATIONS=30     load repetitions per timing arm
-#   PAE_BENCH_REQUESTS=600      hot-swap pass request count
 #   PAE_BENCH_SEED=42
 #
 # Non-timing fields depend only on the seed + corpus + feature count, so
@@ -38,15 +35,13 @@ fi
 PRODUCTS="${PAE_BENCH_PRODUCTS:-120}"
 FEATURES="${PAE_BENCH_FEATURES:-200000}"
 ITERATIONS="${PAE_BENCH_ITERATIONS:-30}"
-REQUESTS="${PAE_BENCH_REQUESTS:-600}"
 SEED="${PAE_BENCH_SEED:-42}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-BUILD=build-bench-serving
+BUILD=build-bench-model-load
 cmake -B "${BUILD}" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
 cmake --build "${BUILD}" -j "${JOBS}" \
-      --target pae-datagen pae-extract pae-serve pae-loadgen \
-               bench_model_load > /dev/null
+      --target pae-datagen pae-extract bench_model_load > /dev/null
 
 CORPUS="${BUILD}/load-corpus"
 SMALL="${BUILD}/load-trained.paez"
@@ -68,38 +63,13 @@ LARGE="${BUILD}/load-field.paez"
       --iterations "${ITERATIONS}" --skip-int8-gate \
       --json "${BUILD}/load-field.json"
 
-# ---- pass 3: hot-swap publish over the wire ----
-SOCKET="${BUILD}/load-bench.sock"
-rm -f "${SOCKET}"
-./"${BUILD}"/tools/pae-serve --socket "${SOCKET}" \
-      --model "${SMALL}" --resources "${CORPUS}" --workers 4 \
-      --metrics-out "${BUILD}/load-serve-metrics.json" > /dev/null &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [[ -S "${SOCKET}" ]] && break
-  sleep 0.1
-done
-# Driver threads stay below the worker count so the swap/shutdown admin
-# connections always find a free worker (each persistent connection
-# parks on one pool thread).
-./"${BUILD}"/tools/pae-loadgen --socket "${SOCKET}" --corpus "${CORPUS}" \
-      --requests "${REQUESTS}" --warmup 50 --seed "${SEED}" --threads 2 \
-      --swap-at "$((REQUESTS / 2))" --swap-model "${SMALL}" \
-      --swap-resources "${CORPUS}" --shutdown-after > /dev/null
-wait "${SERVE_PID}"
-
 # ---- merge ----
 python3 - "${BUILD}/load-field.json" "${BUILD}/load-trained.json" \
-      "${BUILD}/load-serve-metrics.json" "${OUT}" <<'EOF'
+      "${OUT}" <<'EOF'
 import json, sys
-field, trained, serve, out = sys.argv[1:5]
+field, trained, out = sys.argv[1:4]
 with open(field) as f: report = json.load(f)
 with open(trained) as f: report["trained_model"] = json.load(f)
-with open(serve) as f: metrics = json.load(f)
-report["hot_swap_publish"] = {
-    "load_seconds": metrics["histograms"]["serve.publish.load_seconds"],
-    "bytes_copied": metrics["counters"].get("model.load.bytes_copied", 0),
-}
 with open(out, "w") as f:
     json.dump(report, f, indent=2)
     f.write("\n")
@@ -112,5 +82,5 @@ r = json.load(open('${OUT}'))
 print('field-scale open: warm %.1f us, checksum-verified first touch %.1f ms' % (
     r['paez_warm_mmap']['min_seconds'] * 1e6,
     r['paez_first_touch_verified']['min_seconds'] * 1e3))
-print('publish bytes copied: %d (labels only)' % r['hot_swap_publish']['bytes_copied'])
+print('field-scale bytes copied per load: %d (labels only)' % r['bytes_copied_per_load']['paez'])
 "

@@ -17,21 +17,21 @@
 # pass over a small synthetic corpus, validates the emitted
 # --metrics-out JSON report, deep-verifies the .paez model artifact
 # that run saved and checks that a model which cannot be written fails
-# the run (pass 1b), drives the pae-serve daemon end-to-end over its
-# unix socket — 200 loadgen requests, one hot swap republishing the
-# .paez artifact, protocol shutdown — (pass 1d), then
-# reruns the full suite with
-# PAE_SIMD=scalar (pass 1c) so the portable kernel tier — the one CI
-# hosts without AVX2 would silently fall back to — gets the same
-# coverage as the dispatched default. Pass 2 configures build-check-tsan/ with
+# the run (pass 1b), then reruns the full suite with PAE_SIMD=scalar
+# (pass 1c) so the portable kernel tier — the one CI hosts without AVX2
+# would silently fall back to — gets the same coverage as the
+# dispatched default. The pae-serve daemon smoke (200 byte-checked
+# requests over its unix socket, one hot swap over the wire, protocol
+# shutdown, SIGTERM) is tests/daemon_test, which pass 1's full ctest
+# runs. Pass 2 configures build-check-tsan/ with
 # -DPAE_SANITIZE=thread and runs the thread-pool + concurrency +
-# feature-pipeline + concurrent-interner + serve binaries directly: they
-# are the tests whose failure modes are data races; the serve hot-swap
+# feature-pipeline + concurrent-interner + serve + daemon binaries
+# directly: they are the tests whose failure modes are data races; the serve hot-swap
 # hammer is additionally repeated 100 times because the publish/drain
 # race is the daemon's central invariant, and the concurrent-interner
 # hammer is repeated 20 times for the same reason (CAS slot claims). Pass 3 configures
 # build-check-asan/ with -DPAE_SANITIZE=address and runs the interner +
-# feature-pipeline + serve + model-artifact binaries: the interner hands
+# feature-pipeline + serve + daemon + model-artifact binaries: the interner hands
 # out raw string_views into a hand-managed arena, the serve protocol
 # tests feed adversarial frames, and the packed-artifact tests probe
 # mmap'ed tables in place — exactly the kind of code ASan exists for.
@@ -110,8 +110,7 @@ else
   echo "metrics report OK (grep-checked; python3 unavailable)"
 fi
 # Deep-verify the saved .paez artifact (structure + every section
-# checksum): it feeds the serve smoke below, so a packer regression
-# fails here, not there.
+# checksum) that a real pae-extract run wrote.
 ./build-check/tools/pae-model-pack --check build-check/metrics-model.paez
 # A model that cannot be written is an error, not a "saved model" line:
 # once for a missing directory, once for a .pairs file that cannot be
@@ -133,61 +132,6 @@ if [ -e build-check/unsaved.paez ]; then
   exit 1
 fi
 
-echo "==> pass 1d: serve smoke (daemon + loadgen + hot swap + shutdown)"
-# End-to-end over the real wire: start the pae-serve daemon on the model
-# saved in pass 1b, drive 200 requests through pae-loadgen with one
-# mid-run hot swap, then shut the daemon down over the protocol. Driver
-# threads stay below the daemon's worker count so the swap/shutdown
-# admin connections always find a free worker (the server parks each
-# persistent connection on one pool thread).
-SMOKE_SOCK="build-check/pae-serve-smoke.sock"
-SMOKE_LOG="build-check/pae-serve-smoke.log"
-rm -f "${SMOKE_SOCK}" "${SMOKE_LOG}"
-./build-check/tools/pae-serve --socket "${SMOKE_SOCK}" \
-      --model build-check/metrics-model.paez \
-      --resources build-check/metrics-corpus --workers 4 \
-      > "${SMOKE_LOG}" 2>&1 &
-SMOKE_PID=$!
-for _ in $(seq 1 100); do
-  grep -q "pae-serve ready" "${SMOKE_LOG}" 2>/dev/null && break
-  kill -0 "${SMOKE_PID}" 2>/dev/null || {
-    echo "check.sh: pae-serve died before ready:" >&2
-    cat "${SMOKE_LOG}" >&2; exit 1; }
-  sleep 0.1
-done
-grep -q "pae-serve ready" "${SMOKE_LOG}" || {
-  echo "check.sh: pae-serve never became ready" >&2
-  kill "${SMOKE_PID}" 2>/dev/null || true; exit 1; }
-# The mid-run swap republishes the .paez artifact saved in pass 1b as
-# generation 2 — both generations map the same file and must serve
-# identical responses (the response checksum in the JSON report is
-# seed-deterministic across both).
-./build-check/tools/pae-loadgen --socket "${SMOKE_SOCK}" \
-      --corpus build-check/metrics-corpus --requests 200 --threads 2 \
-      --swap-at 100 --swap-model build-check/metrics-model.paez \
-      --swap-resources build-check/metrics-corpus --shutdown-after \
-      --json build-check/serve-smoke.json \
-      | tee build-check/serve-smoke.out
-grep -q "hot-swapped to generation 2" build-check/serve-smoke.out || {
-  echo "check.sh: serve smoke hot swap did not happen" >&2; exit 1; }
-grep -q "daemon shutdown acknowledged" build-check/serve-smoke.out || {
-  echo "check.sh: daemon did not acknowledge shutdown" >&2; exit 1; }
-for _ in $(seq 1 100); do
-  kill -0 "${SMOKE_PID}" 2>/dev/null || break
-  sleep 0.1
-done
-if kill -0 "${SMOKE_PID}" 2>/dev/null; then
-  echo "check.sh: pae-serve did not exit after shutdown request" >&2
-  kill "${SMOKE_PID}"; exit 1
-fi
-wait "${SMOKE_PID}" || {
-  echo "check.sh: pae-serve exited non-zero:" >&2
-  cat "${SMOKE_LOG}" >&2; exit 1; }
-grep -q '"transport_errors": 0' build-check/serve-smoke.json || {
-  echo "check.sh: serve smoke saw transport errors" >&2
-  cat build-check/serve-smoke.json >&2; exit 1; }
-echo "serve smoke OK: 200 requests, one hot swap, clean shutdown"
-
 echo "==> pass 1c: full ctest with PAE_SIMD=scalar"
 # Same binaries, scalar kernel tier. The kernels are bit-identical
 # across tiers by contract, so every pass-1 expectation must hold
@@ -206,7 +150,8 @@ if [[ "${RUN_TSAN}" == "1" ]]; then
         -DPAE_SANITIZE=thread > /dev/null
   cmake --build build-check-tsan -j "${JOBS}" \
         --target thread_pool_test concurrency_test feature_pipeline_test \
-        concurrent_interner_test streaming_ingest_test serve_test
+        concurrent_interner_test streaming_ingest_test serve_test \
+        daemon_test
   ./build-check-tsan/tests/thread_pool_test
   ./build-check-tsan/tests/concurrency_test
   ./build-check-tsan/tests/feature_pipeline_test
@@ -215,6 +160,9 @@ if [[ "${RUN_TSAN}" == "1" ]]; then
   # + both concurrent interners) under TSan, not just the interner.
   ./build-check-tsan/tests/streaming_ingest_test
   ./build-check-tsan/tests/serve_test
+  # The real daemon binary, built with the same instrumentation: 2
+  # client threads against 4 workers with a hot swap mid-run.
+  ./build-check-tsan/tests/daemon_test
   # The hot-swap hammer is the one test whose whole point is the
   # publish/drain race; a single pass can get lucky, 100 consecutive
   # passes under TSan cannot.
@@ -235,11 +183,12 @@ if [[ "${RUN_ASAN}" == "1" ]]; then
         -DPAE_SANITIZE=address > /dev/null
   cmake --build build-check-asan -j "${JOBS}" \
         --target interner_test feature_pipeline_test crf_test serve_test \
-        serve_protocol_test model_artifact_test
+        serve_protocol_test model_artifact_test daemon_test
   ./build-check-asan/tests/interner_test
   ./build-check-asan/tests/feature_pipeline_test
   ./build-check-asan/tests/crf_test
   ./build-check-asan/tests/serve_test
+  ./build-check-asan/tests/daemon_test
   # The packed-artifact tests run inference directly over the mmap'ed
   # tables (guarded probes into a caller-owned mapping) — the exact
   # surface where an off-by-one becomes an out-of-mapping read.

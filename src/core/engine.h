@@ -41,7 +41,7 @@ struct EngineOptions {
 /// progression. The pipeline-stage default (100 µs .. 300 s) is too
 /// coarse for a request that usually finishes under a millisecond.
 /// Shared by the engine's own timer, the serve-side request timer and
-/// pae-loadgen's client-side histogram so their quantiles line up.
+/// the daemon's model-load timer so their buckets line up.
 std::vector<double> RequestLatencyBounds();
 
 /// Telemetry for one ExtractionEngine::Extract call.
@@ -97,10 +97,10 @@ class ExtractionEngine {
   /// up front (counted by `engine.scratch_created` / the
   /// `engine.scratch_live` gauge) and reuses it for every request:
   /// steady-state request handling allocates nothing model-sized, which
-  /// pae-loadgen asserts by watching those metrics stay flat while
-  /// `serve.requests` grows. A Scratch must not be shared between
-  /// concurrent requests; it may be handed to a different engine
-  /// generation after a hot-swap.
+  /// ExtractionEngineTest.ScratchReuseAllocatesNoNewScratches asserts
+  /// by watching `engine.scratch_created` stay flat. A Scratch must not
+  /// be shared between concurrent requests; it may be handed to a
+  /// different engine generation after a hot-swap.
   class Scratch {
    public:
     ~Scratch();

@@ -148,17 +148,13 @@ uint64_t NextIngestGeneration() {
 /// tokens are bounded by total tokens, and a token costs well over 16
 /// page bytes once markup overhead is counted (the table tolerates a
 /// further 1.5× past the estimate before its load-factor guard);
-/// a dictionary-table entry costs ≥ ~30 bytes of markup. Corpora with
-/// pathological dictionaries can override via IngestOptions.
-SizeHints DeriveSizeHints(uint64_t total_page_bytes,
-                          const IngestOptions& options) {
+/// a dictionary-table entry costs ≥ ~30 bytes of markup. The tables
+/// carry a load-factor guard, not growth (util/concurrent_interner.h),
+/// so an estimate this generous is the whole sizing policy.
+SizeHints DeriveSizeHints(uint64_t total_page_bytes) {
   SizeHints hints;
-  hints.tokens = options.expected_distinct_tokens != 0
-                     ? options.expected_distinct_tokens
-                     : static_cast<size_t>(total_page_bytes / 16) + 4096;
-  hints.pairs = options.expected_distinct_pairs != 0
-                    ? options.expected_distinct_pairs
-                    : static_cast<size_t>(total_page_bytes / 32) + 1024;
+  hints.tokens = static_cast<size_t>(total_page_bytes / 16) + 4096;
+  hints.pairs = static_cast<size_t>(total_page_bytes / 32) + 1024;
   return hints;
 }
 
@@ -335,7 +331,7 @@ IngestedCorpus IngestCorpus(const Corpus& corpus,
 
   uint64_t total_bytes = 0;
   for (const ProductPage& page : corpus.pages) total_bytes += page.html.size();
-  const SizeHints hints = DeriveSizeHints(total_bytes, options);
+  const SizeHints hints = DeriveSizeHints(total_bytes);
   util::ConcurrentStringInterner token_interner(hints.tokens);
   util::ConcurrentStringInterner pair_interner(hints.pairs);
 
@@ -376,7 +372,7 @@ Result<IngestedCorpus> IngestCorpusDir(const std::string& dir,
       reader.language(), reader.resources().pos_lexicon);
   out.corpus.pages.resize(reader.page_count());
 
-  const SizeHints hints = DeriveSizeHints(reader.total_page_bytes(), options);
+  const SizeHints hints = DeriveSizeHints(reader.total_page_bytes());
   util::ConcurrentStringInterner token_interner(hints.tokens);
   util::ConcurrentStringInterner pair_interner(hints.pairs);
 

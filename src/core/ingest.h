@@ -38,11 +38,6 @@ struct IngestedCorpus {
 struct IngestOptions {
   /// Parse workers (0 = all hardware threads; negative clamps to 1).
   int threads = 1;
-  /// Pre-size hints for the concurrent dictionaries; 0 derives both
-  /// from the corpus byte size. The tables carry a load-factor guard,
-  /// not growth — see util/concurrent_interner.h.
-  size_t expected_distinct_tokens = 0;
-  size_t expected_distinct_pairs = 0;
 };
 
 /// Single-pass ingestion of an in-memory corpus: every worker parses,

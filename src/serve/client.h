@@ -12,8 +12,8 @@
 namespace pae::serve {
 
 /// Blocking single-connection client for the pae-serve protocol. One
-/// Client == one socket; it is not thread-safe (loadgen gives each
-/// driver thread its own). Any transport or protocol error poisons the
+/// Client == one socket; it is not thread-safe (a load driver gives
+/// each thread its own). Any transport or protocol error poisons the
 /// connection — subsequent calls keep failing — matching the server's
 /// own per-connection latching.
 class Client {

@@ -48,13 +48,12 @@ struct ServerOptions {
 /// worker dequeues one connection and serves it request-by-request
 /// until the peer hangs up or breaks the protocol. Persistent
 /// connections beyond the pool size wait in the accept queue until a
-/// worker frees up — clients that hold connections open (pae-loadgen)
-/// should not open more of them than the server has workers. A
-/// malformed frame
-/// (truncated, oversize length word, undecodable payload, trailing
-/// bytes) latches that connection's error — counted in
-/// serve.protocol_errors — and closes it; every other connection keeps
-/// being served.
+/// worker frees up — clients that hold connections open (perfbench's
+/// load driver, daemon_test) should not open more of them than the
+/// server has workers. A malformed frame (truncated, oversize length
+/// word, undecodable payload, trailing bytes) latches that connection's
+/// error — counted in serve.protocol_errors — and closes it; every
+/// other connection keeps being served.
 ///
 /// Hot swap: Publish() (or the kPublish opcode) installs a new engine
 /// generation; requests already in flight drain against the generation

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -14,6 +13,7 @@
 #include "core/bootstrap.h"
 #include "core/ingest.h"
 #include "datagen/generator.h"
+#include "support/json_checker.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -147,107 +147,7 @@ TEST(MetricsTest, ConcurrentCounterIncrementsAreExact) {
 
 // ---------------- JSON report ----------------
 
-/// Minimal recursive-descent JSON checker: accepts exactly the subset
-/// the report writer emits and rejects structural breakage (unbalanced
-/// braces, trailing commas, bare tokens).
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : text_(text) {}
-
-  bool Valid() {
-    SkipSpace();
-    if (!Value()) return false;
-    SkipSpace();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool Value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      default:
-        return Literal();
-    }
-  }
-
-  bool Object() {
-    ++pos_;  // '{'
-    SkipSpace();
-    if (Peek() == '}') return ++pos_, true;
-    while (true) {
-      SkipSpace();
-      if (!String()) return false;
-      SkipSpace();
-      if (Peek() != ':') return false;
-      ++pos_;
-      SkipSpace();
-      if (!Value()) return false;
-      SkipSpace();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') return ++pos_, true;
-      return false;
-    }
-  }
-
-  bool Array() {
-    ++pos_;  // '['
-    SkipSpace();
-    if (Peek() == ']') return ++pos_, true;
-    while (true) {
-      SkipSpace();
-      if (!Value()) return false;
-      SkipSpace();
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') return ++pos_, true;
-      return false;
-    }
-  }
-
-  bool String() {
-    if (Peek() != '"') return false;
-    ++pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool Literal() {
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+using support::JsonChecker;
 
 TEST(MetricsTest, JsonReportHasAllTopLevelKeysAndParses) {
   MetricsRegistry registry;

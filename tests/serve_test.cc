@@ -721,33 +721,69 @@ TEST(ServerSmokeTest, ExtractBeforePublishFailsPrecondition) {
   server.Stop();
 }
 
-// ---------------------------------------------------------------------
-// Deterministic load driver
+// Served bytes must not depend on how many clients are concurrent: the
+// same request list, sent from one client thread and from eight, gets
+// the same response payload for every request.
+TEST(ServerSmokeTest, ResponsesIdenticalAtOneAndEightClientThreads) {
+  serve::ServerOptions server_options;
+  server_options.unix_path = TestSocketPath("pae_serve_concurrent.sock");
+  server_options.workers = 8;
+  serve::Server server(server_options);
+  ASSERT_TRUE(server.Start().ok());
+  server.Publish(MakeStubEngine("色"));
 
-TEST(LoadgenTest, ScheduleIsSeedDeterministicAndThreadIndependent) {
-  serve::LoadgenOptions options;
-  options.seed = 123;
-  options.requests = 500;
-  options.extract_fraction = 0.8;
-  options.threads = 1;
-  std::vector<serve::RequestSlot> a = BuildSchedule(options, 37);
-  options.threads = 8;  // thread count must not shape the schedule
-  std::vector<serve::RequestSlot> b = BuildSchedule(options, 37);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].product, b[i].product);
-    EXPECT_EQ(a[i].is_extract, b[i].is_extract);
+  // Pages that yield a triple, a negated sentence and no match at all.
+  const std::vector<std::string> pages = {
+      kPageHtml, "<p>色は赤ではありません。</p>", "<p>色は青です。</p>",
+      "<p>赤。</p><p>青は赤です。</p>"};
+  std::vector<std::string> requests;
+  Rng rng(99);
+  constexpr uint64_t kProducts = 7;
+  for (int i = 0; i < 400; ++i) {
+    const uint64_t product = serve::NURand(7, 3, kProducts, rng);
+    requests.push_back(serve::EncodeExtractRequest(
+        {"p" + std::to_string(product), pages[product % pages.size()]}));
   }
-  options.seed = 124;
-  std::vector<serve::RequestSlot> c = BuildSchedule(options, 37);
-  bool any_different = false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    any_different |= a[i].product != c[i].product;
+
+  auto serve_all = [&](size_t threads) {
+    std::vector<std::string> responses(requests.size());
+    std::vector<std::thread> clients;
+    for (size_t t = 0; t < threads; ++t) {
+      clients.emplace_back([&, t] {
+        auto client =
+            serve::Client::ConnectUnixSocket(server_options.unix_path);
+        ASSERT_TRUE(client.ok()) << client.status().ToString();
+        for (size_t i = t; i < requests.size(); i += threads) {
+          auto response = client.value().RoundTrip(requests[i]);
+          ASSERT_TRUE(response.ok()) << response.status().ToString();
+          responses[i] = std::move(response.value());
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+    return responses;
+  };
+  const std::vector<std::string> single = serve_all(1);
+  const std::vector<std::string> eight = serve_all(8);
+  server.Stop();
+
+  ASSERT_EQ(single.size(), eight.size());
+  size_t with_triples = 0;
+  for (size_t i = 0; i < single.size(); ++i) {
+    EXPECT_EQ(single[i], eight[i]) << "request " << i;
+    auto decoded = serve::DecodeExtractResponse(single[i], "p");
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    if (!decoded.value().triples.empty()) ++with_triples;
   }
-  EXPECT_TRUE(any_different);
+  EXPECT_GT(with_triples, 0u);
+  EXPECT_LT(with_triples, single.size());
 }
 
-TEST(LoadgenTest, NURandStaysInRangeAndSkews) {
+// ---------------------------------------------------------------------
+// Load-shape helpers: perfbench draws its request stream with NURand
+// and sums TripleHash into every output checksum.
+
+TEST(ServeHelpersTest, NURandStaysInRangeAndSkews) {
   Rng rng(7);
   std::vector<int> histogram(16, 0);
   for (int i = 0; i < 10000; ++i) {
@@ -760,201 +796,14 @@ TEST(LoadgenTest, NURandStaysInRangeAndSkews) {
   EXPECT_GT(histogram[(15 + 3) % 16], histogram[(0 + 3) % 16] * 2);
 }
 
-TEST(LoadgenTest, QuantileInterpolatesWithinBuckets) {
-  const std::vector<double> bounds = {1.0, 2.0, 4.0};
-  // All mass in (1, 2]: the median sits mid-bucket.
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(bounds, {0, 10, 0, 0}, 0.5), 1.5);
-  // Empty histogram: 0 by definition.
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(bounds, {0, 0, 0, 0}, 0.5), 0.0);
-  // Overflow mass clamps to the last bound.
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(bounds, {0, 0, 0, 10}, 0.99), 4.0);
-}
-
-TEST(LoadgenTest, QuantileSaturationFlag) {
-  const std::vector<double> bounds = {1.0, 2.0, 4.0};
-  // Overflow-bucket quantile: the clamp is an underestimate and must
-  // raise the flag.
-  bool saturated = false;
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(bounds, {0, 0, 0, 10}, 0.99, &saturated),
-      4.0);
-  EXPECT_TRUE(saturated);
-  // Mixed mass: p50 interpolates inside a finite bucket (no flag), p99
-  // lands in overflow (flag).
-  saturated = false;
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(bounds, {8, 0, 0, 2}, 0.5, &saturated),
-      0.625);
-  EXPECT_FALSE(saturated);
-  serve::QuantileFromBuckets(bounds, {8, 0, 0, 2}, 0.99, &saturated);
-  EXPECT_TRUE(saturated);
-  // The flag is sticky-or friendly: an in-range quantile never clears
-  // a previously set value.
-  serve::QuantileFromBuckets(bounds, {8, 0, 0, 2}, 0.5, &saturated);
-  EXPECT_TRUE(saturated);
-}
-
-TEST(LoadgenTest, QuantileEdgeCases) {
-  const std::vector<double> bounds = {1.0, 2.0, 4.0};
-  bool saturated = false;
-  // Target exactly on a cumulative bucket boundary: 10 samples in
-  // (0, 1], 10 in (1, 2]; p50 target = 10 = the first bucket's whole
-  // cumulative mass → exactly its upper bound, no spill-over.
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(bounds, {10, 10, 0, 0}, 0.5, &saturated),
-      1.0);
-  // Zero-count interior buckets are skipped, not interpolated across.
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(bounds, {10, 0, 10, 0}, 0.75, &saturated),
-      3.0);
-  // q = 0: degenerate target 0 lands at the very start of the first
-  // non-empty bucket.
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(bounds, {0, 10, 0, 0}, 0.0, &saturated),
-      1.0);
-  // q = 1 with all mass in one finite bucket: its upper bound.
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(bounds, {0, 10, 0, 0}, 1.0, &saturated),
-      2.0);
-  EXPECT_FALSE(saturated);
-  // Single-bucket histogram (one finite bound + overflow).
-  const std::vector<double> one_bound = {0.5};
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(one_bound, {4, 0}, 0.5, &saturated), 0.25);
-  EXPECT_FALSE(saturated);
-  EXPECT_DOUBLE_EQ(
-      serve::QuantileFromBuckets(one_bound, {0, 4}, 0.5, &saturated), 0.5);
-  EXPECT_TRUE(saturated);
-}
-
-TEST(LoadgenTest, AggregatesAreIdenticalAtOneAndEightThreads) {
-  serve::ServerOptions server_options;
-  server_options.unix_path = TestSocketPath("pae_serve_loadgen.sock");
-  server_options.workers = 8;
-  serve::Server server(server_options);
-  ASSERT_TRUE(server.Start().ok());
-  server.Publish(MakeStubEngine("色"));
-
-  std::vector<serve::LoadgenProduct> products;
-  for (int i = 0; i < 7; ++i) {
-    products.push_back(serve::LoadgenProduct{
-        "p" + std::to_string(i), kPageHtml});
-  }
-  auto connect = [&server_options] {
-    return serve::Client::ConnectUnixSocket(server_options.unix_path);
-  };
-
-  serve::LoadgenOptions options;
-  options.seed = 99;
-  options.requests = 400;
-  options.extract_fraction = 0.9;
-
-  options.threads = 1;
-  auto single = RunLoadgen(options, products, connect);
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
-  options.threads = 8;
-  auto eight = RunLoadgen(options, products, connect);
-  ASSERT_TRUE(eight.ok()) << eight.status().ToString();
-  server.Stop();
-
-  EXPECT_EQ(single.value().requests_sent, 400u);
-  EXPECT_EQ(eight.value().requests_sent, 400u);
-  EXPECT_EQ(single.value().ok_responses, eight.value().ok_responses);
-  EXPECT_EQ(single.value().triples, eight.value().triples);
-  EXPECT_EQ(single.value().checksum, eight.value().checksum);
-  EXPECT_GT(single.value().triples, 0u);
-  EXPECT_EQ(single.value().error_responses, 0u);
-  EXPECT_EQ(eight.value().transport_errors, 0u);
-}
-
-TEST(LoadgenTest, SwapHookFiresExactlyOnceAtThreshold) {
-  serve::ServerOptions server_options;
-  server_options.unix_path = TestSocketPath("pae_serve_swap.sock");
-  server_options.workers = 4;
-  serve::Server server(server_options);
-  ASSERT_TRUE(server.Start().ok());
-  server.Publish(MakeStubEngine("色1"));
-
-  std::vector<serve::LoadgenProduct> products = {
-      serve::LoadgenProduct{"p1", kPageHtml}};
-  auto connect = [&server_options] {
-    return serve::Client::ConnectUnixSocket(server_options.unix_path);
-  };
-  std::atomic<int> swaps{0};
-  serve::LoadgenOptions options;
-  options.requests = 200;
-  options.threads = 2;
-  options.swap_at = 100;
-  auto report = RunLoadgen(options, products, connect, [&] {
-    swaps.fetch_add(1, std::memory_order_seq_cst);
-    server.Publish(MakeStubEngine("色2"));
-  });
-  server.Stop();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(swaps.load(std::memory_order_seq_cst), 1);
-  EXPECT_EQ(report.value().generation_min, 1u);
-  EXPECT_EQ(report.value().generation_max, 2u);
-}
-
-/// Reported quantiles are ordered and bounded by the observed max.
-void ExpectQuantilesOrdered(const serve::LoadgenReport& report) {
-  EXPECT_LE(report.p50_seconds, report.p95_seconds);
-  EXPECT_LE(report.p95_seconds, report.p99_seconds);
-  EXPECT_LE(report.p99_seconds, report.max_seconds);
-}
-
-TEST(LoadgenTest, FailedRequestsCountTowardNeitherQpsNorLatency) {
-  // No model is published, so every extract fails with
-  // kFailedPrecondition: 20 of 20 requests fail.
-  serve::ServerOptions server_options;
-  server_options.unix_path = TestSocketPath("pae_serve_all_fail.sock");
-  server_options.workers = 1;
-  serve::Server server(server_options);
-  ASSERT_TRUE(server.Start().ok());
-  auto connect = [&server_options] {
-    return serve::Client::ConnectUnixSocket(server_options.unix_path);
-  };
-  serve::LoadgenOptions options;
-  options.requests = 20;
-  auto report =
-      RunLoadgen(options, {serve::LoadgenProduct{"p1", kPageHtml}}, connect);
-  server.Stop();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().requests_sent, 20u);
-  EXPECT_EQ(report.value().ok_responses, 0u);
-  EXPECT_EQ(report.value().error_responses, 20u);
-  EXPECT_EQ(report.value().qps, 0.0);
-  EXPECT_EQ(report.value().max_seconds, 0.0);
-  uint64_t observed = 0;
-  for (uint64_t count : report.value().bucket_counts) observed += count;
-  EXPECT_EQ(observed, 0u);
-  ExpectQuantilesOrdered(report.value());
-}
-
-TEST(LoadgenTest, QuantilesNeverExceedObservedMax) {
-  serve::ServerOptions server_options;
-  server_options.unix_path = TestSocketPath("pae_serve_quantiles.sock");
-  server_options.workers = 2;
-  serve::Server server(server_options);
-  ASSERT_TRUE(server.Start().ok());
-  server.Publish(MakeStubEngine("色"));
-  auto connect = [&server_options] {
-    return serve::Client::ConnectUnixSocket(server_options.unix_path);
-  };
-  serve::LoadgenOptions options;
-  options.requests = 300;
-  options.threads = 2;
-  auto report =
-      RunLoadgen(options, {serve::LoadgenProduct{"p1", kPageHtml}}, connect);
-  server.Stop();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report.value().ok_responses, 300u);
-  EXPECT_GT(report.value().qps, 0.0);
-  EXPECT_GT(report.value().max_seconds, 0.0);
-  ExpectQuantilesOrdered(report.value());
+TEST(ServeHelpersTest, TripleHashIsPinned) {
+  // Golden values: a change here changes every perfbench checksum.
+  EXPECT_EQ(serve::TripleHash({"p1", "色", "赤"}), 0x0e4a8cddf1188501ULL);
+  EXPECT_EQ(serve::TripleHash({"B00042", "capacity", "0.5L"}),
+            0xc808c7cda80c7ed9ULL);
+  // The field separator keeps shifted boundaries apart.
+  EXPECT_NE(serve::TripleHash({"ab", "c", "v"}),
+            serve::TripleHash({"a", "bc", "v"}));
 }
 
 }  // namespace

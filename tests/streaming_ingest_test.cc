@@ -205,21 +205,6 @@ TEST(StreamingIngestTest, DiskStreamingMatchesInMemoryIngestion) {
   fs::remove_all(dir);
 }
 
-TEST(StreamingIngestTest, SizeHintOverridesAreHonored) {
-  const datagen::GeneratedCategory category = MakeCategory(30, 99);
-  IngestOptions options;
-  options.threads = 2;
-  // Generous explicit hints must not change the output, only sizing.
-  options.expected_distinct_tokens = 1 << 16;
-  options.expected_distinct_pairs = 1 << 12;
-  const IngestedCorpus hinted = IngestCorpus(category.corpus, options);
-  IngestOptions defaults;
-  defaults.threads = 2;
-  const IngestedCorpus derived = IngestCorpus(category.corpus, defaults);
-  EXPECT_EQ(Serialize(hinted.candidates), Serialize(derived.candidates));
-  EXPECT_EQ(Serialize(hinted.token_vocab), Serialize(derived.token_vocab));
-}
-
 TEST(StreamingIngestTest, MissingDirectoryFailsLikeLoadCorpus) {
   IngestOptions options;
   auto result = IngestCorpusDir(

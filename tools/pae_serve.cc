@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  // The ready line is the scripted startup handshake: bench_serving.sh
-  // and the check.sh smoke block on it before connecting.
+  // The ready line is the scripted startup handshake: a supervisor
+  // (tests/daemon_test.cc does) blocks on it before connecting.
   if (!socket_path.empty()) {
     std::cout << "pae-serve ready unix:" << socket_path
               << " generation=" << server.generation() << std::endl;
