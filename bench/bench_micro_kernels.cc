@@ -13,8 +13,7 @@
 #include "crf/feature_extractor.h"
 #include "datagen/generator.h"
 #include "embed/word2vec.h"
-#include "html/parser.h"
-#include "html/table_extractor.h"
+#include "html/stream_scanner.h"
 #include "lstm/lstm_cell.h"
 #include "math/kernels.h"
 #include "text/tokenizer.h"
@@ -139,18 +138,21 @@ BENCHMARK(BM_Word2VecTrain)->Arg(16)->Arg(32)->Arg(64);
 
 // ---- HTML + tokenization ----
 
+// The page front end ingestion and serving run: one StreamScanner pass
+// yields the visible text and the dictionary tables.
 void BM_HtmlParseAndExtract(benchmark::State& state) {
   datagen::GeneratorConfig config;
   config.num_products = 50;
   config.seed = 5;
   datagen::GeneratedCategory category = datagen::GenerateCategory(
       datagen::CategoryId::kVacuumCleaner, config);
+  html::StreamScanner scanner;
   for (auto _ : state) {
     size_t tables = 0;
     for (const auto& page : category.corpus.pages) {
-      auto dom = html::ParseHtml(page.html);
-      tables += html::ExtractDictionaryTables(*dom).size();
-      benchmark::DoNotOptimize(html::ExtractText(*dom).size());
+      scanner.Scan(page.html);
+      tables += scanner.tables().size();
+      benchmark::DoNotOptimize(scanner.text().size());
     }
     benchmark::DoNotOptimize(tables);
   }

@@ -1,11 +1,8 @@
 // Model-load benchmark behind scripts/bench_model_load.sh: opening the
 // mmap'ed `.paez` artifact (checksum-verified first touch and warm
-// structural open), the bytes a load copies, and the int8-embedding
-// cleaning gate (one bootstrap iteration with f32 vs quantized
-// semantic-cleaning vectors on the golden corpus).
+// structural open) and the bytes a load copies.
 //
-//   bench_model_load --paez m.paez [--iterations 50]
-//                    [--json OUT | -] [--skip-int8-gate]
+//   bench_model_load --paez m.paez [--iterations 50] [--json OUT | -]
 //   bench_model_load --make-model m.paez --make-features N
 //                    [--make-labels L] [--make-seed S]
 //
@@ -27,11 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "core/bootstrap.h"
-#include "core/ingest.h"
 #include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
-#include "datagen/generator.h"
 #include "tools/args.h"
 #include "util/logging.h"
 #include "util/metrics.h"
@@ -87,28 +81,6 @@ int64_t CounterValue(const char* name) {
   return pae::util::MetricsRegistry::Global().GetCounter(name)->value();
 }
 
-/// One bootstrap iteration on the golden corpus with the given
-/// semantic-cleaning quantization mode; returns the extracted triples.
-std::vector<pae::core::Triple> RunCleaningArm(bool quantize_int8) {
-  pae::datagen::GeneratorConfig generator;
-  generator.num_products = 120;
-  generator.seed = 42;
-  auto crawl = pae::datagen::GenerateCategory(
-      pae::datagen::CategoryId::kVacuumCleaner, generator);
-  pae::core::ProcessedCorpus corpus =
-      pae::core::IngestCorpus(crawl.corpus, {}).corpus;
-
-  pae::core::PipelineConfig config;
-  config.iterations = 1;
-  config.crf.max_iterations = 25;
-  config.seed = 7;
-  config.semantic.quantize_int8 = quantize_int8;
-  pae::core::Pipeline pipeline(config);
-  auto result = pipeline.Run(corpus);
-  PAE_CHECK(result.ok()) << result.status().ToString();
-  return result.value().final_triples();
-}
-
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -159,8 +131,7 @@ int MakeModel(const std::string& path, int num_features, int num_labels,
   pae::crf::CrfTagger tagger(options);
   const pae::Status trained = tagger.Train(data);
   PAE_CHECK(trained.ok()) << trained.ToString();
-  const pae::Status packed = pae::core::PackModelArtifact(
-      tagger, nullptr, pae::core::PackOptions(), path);
+  const pae::Status packed = pae::core::PackModelArtifact(tagger, path);
   PAE_CHECK(packed.ok()) << packed.ToString();
   std::cerr << "wrote " << path << ": " << tagger.model().num_labels()
             << " labels, " << tagger.model().num_features() << " features, "
@@ -183,7 +154,6 @@ int main(int argc, char** argv) {
   if (paez_path.empty()) {
     std::cerr << "usage: bench_model_load --paez m.paez\n"
               << "                        [--iterations N] [--json OUT|-]\n"
-              << "                        [--skip-int8-gate]\n"
               << "       bench_model_load --make-model m.paez\n"
               << "                        [--make-features N] [--make-labels L]"
               << "\n";
@@ -219,20 +189,6 @@ int main(int argc, char** argv) {
   PAE_CHECK(artifact.ok());
   const auto& meta = artifact.value()->crf_meta();
 
-  // --- int8 cleaning gate ---
-  std::string int8_block;
-  if (!args.Has("skip-int8-gate")) {
-    const std::vector<pae::core::Triple> f32 = RunCleaningArm(false);
-    const std::vector<pae::core::Triple> int8 = RunCleaningArm(true);
-    std::ostringstream block;
-    block << "  \"int8_cleaning_gate\": {\n"
-          << "    \"triples_f32\": " << f32.size() << ",\n"
-          << "    \"triples_int8\": " << int8.size() << ",\n"
-          << "    \"decisions_unchanged\": "
-          << (f32 == int8 ? "true" : "false") << "\n  },\n";
-    int8_block = block.str();
-  }
-
   std::ostringstream json;
   json << "{\n  \"version\": 1,\n  \"benchmark\": \"model-load\",\n"
        << "  \"iterations\": " << iterations << ",\n"
@@ -244,8 +200,7 @@ int main(int argc, char** argv) {
        << "    \"weights\": " << meta.weight_count << "\n  },\n";
   AppendStats(&json, "paez_first_touch_verified", first_touch);
   AppendStats(&json, "paez_warm_mmap", warm);
-  json << int8_block
-       << "  \"bytes_copied_per_load\": {\n"
+  json << "  \"bytes_copied_per_load\": {\n"
        << "    \"paez\": " << paez_bytes_copied << "\n  }\n}\n";
 
   const std::string json_path = args.GetString("json", "-");

@@ -54,8 +54,7 @@ int main() {
     return 1;
   }
   const size_t dropped = crf->Compact();  // shed L1 zero-weight features
-  if (!core::PackModelArtifact(*crf, nullptr, core::PackOptions(), model_path)
-           .ok()) {
+  if (!core::PackModelArtifact(*crf, model_path).ok()) {
     std::cerr << "could not persist the model\n";
     return 1;
   }

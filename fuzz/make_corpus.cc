@@ -17,7 +17,6 @@
 
 #include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
-#include "embed/word2vec.h"
 #include "paez_mutator.h"
 #include "serve/protocol.h"
 #include "util/rng.h"
@@ -39,22 +38,6 @@ std::vector<text::LabeledSequence> TinyTrainingData() {
     data.push_back(std::move(seq));
   }
   return data;
-}
-
-embed::Word2Vec TrainTinyEmbeddings() {
-  embed::Word2VecOptions options;
-  options.dim = 16;
-  options.epochs = 4;
-  options.min_count = 1;
-  embed::Word2Vec model(options);
-  std::vector<std::vector<std::string>> corpus;
-  Rng rng(11);
-  for (int i = 0; i < 200; ++i) {
-    corpus.push_back({"red", rng.Bernoulli(0.5) ? "blue" : "green", "heavy",
-                      rng.Bernoulli(0.3) ? "light" : "solid", "red"});
-  }
-  if (!model.Train(corpus).ok()) std::exit(1);
-  return model;
 }
 
 std::string ReadBytes(const std::string& path) {
@@ -108,29 +91,27 @@ std::string MakeSlotCountOverflowArtifact(std::string image) {
   return image;
 }
 
+/// The seed with its first section relabelled as kind 7, which once held
+/// word2vec embedding metadata. The table checksum is restamped and the
+/// payload is untouched, so every checksum holds and only the
+/// unknown-kind check stands between this file and a parse.
+std::string MakeRetiredKindArtifact(std::string image) {
+  core::PaezSection section;
+  if (!ReadPaezSection(image, 0, &section)) std::exit(1);
+  section.kind = 7;
+  WritePaezSection(&image, 0, section);
+  RestampPaezTableChecksum(&image);
+  return image;
+}
+
 void WritePaezCorpus(const fs::path& dir) {
   crf::CrfOptions options;
   options.max_iterations = 15;
   crf::CrfTagger tagger(options);
   if (!tagger.Train(TinyTrainingData()).ok()) std::exit(1);
-  embed::Word2Vec embeddings = TrainTinyEmbeddings();
 
   const fs::path crf_path = dir / "seed-crf.paez";
-  if (!core::PackModelArtifact(tagger, nullptr, core::PackOptions(),
-                               crf_path.string())
-           .ok()) {
-    std::exit(1);
-  }
-  if (!core::PackModelArtifact(tagger, &embeddings, core::PackOptions(),
-                               (dir / "seed-crf-f32.paez").string())
-           .ok()) {
-    std::exit(1);
-  }
-  core::PackOptions quantized;
-  quantized.quantize_embeddings = true;
-  if (!core::PackModelArtifact(tagger, &embeddings, quantized,
-                               (dir / "seed-crf-i8.paez").string())
-           .ok()) {
+  if (!core::PackModelArtifact(tagger, crf_path.string()).ok()) {
     std::exit(1);
   }
 
@@ -159,6 +140,9 @@ void WritePaezCorpus(const fs::path& dir) {
 
   WriteBytes(dir / "regression-slot-count-overflow.paez",
              MakeSlotCountOverflowArtifact(seed));
+
+  WriteBytes(dir / "malformed-retired-kind.bin",
+             MakeRetiredKindArtifact(seed));
 }
 
 std::string Framed(const std::string& payload) {

@@ -8,7 +8,6 @@
 
 #include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
-#include "embed/packed_embeddings.h"
 
 namespace pae::fuzz {
 
@@ -31,21 +30,17 @@ const std::string& ScratchPath() {
   return path;
 }
 
-/// Every artifact accessor plus both zero-copy views. The prediction
-/// and similarity probes matter most: they drive StringTableView::Find
-/// against the mapped (and possibly hostile) slot array, the read the
+/// Every artifact accessor plus the zero-copy CRF view. The prediction
+/// probe matters most: it drives StringTableView::Find against the
+/// mapped (and possibly hostile) slot array, the read the
 /// slot-count-overflow regression corpus entry proved could leave the
 /// mapping.
 void ExerciseArtifact(
     const std::shared_ptr<const core::ModelArtifact>& artifact) {
-  (void)artifact->has_crf();
-  (void)artifact->has_embeddings();
-  (void)artifact->embeddings_quantized();
   (void)artifact->header();
   (void)artifact->sections();
   (void)artifact->crf_meta();
-  (void)artifact->embed_meta();
-  for (uint32_t kind = core::kCrfMeta; kind <= core::kLstmParams; ++kind) {
+  for (uint32_t kind = core::kCrfMeta; kind <= core::kCrfWeights; ++kind) {
     const auto k = static_cast<core::PaezSectionKind>(kind);
     (void)artifact->SectionData(k);
     (void)artifact->SectionLength(k);
@@ -62,16 +57,6 @@ void ExerciseArtifact(
     }
   }
 
-  auto packed_embed = core::MakePackedEmbeddings(artifact);
-  if (packed_embed.ok()) {
-    const embed::PackedEmbeddings& embeddings = packed_embed.value();
-    (void)embeddings.Contains("red");
-    (void)embeddings.Similarity("red", "blue");
-    if (embeddings.dim() > 0 && embeddings.dim() < 4096) {
-      std::vector<float> row(embeddings.dim());
-      (void)embeddings.CopyRow("red", row.data());
-    }
-  }
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 #
 # Two passes, merged into one JSON:
 #   1. trained model  — a real pipeline-trained CRF (~1.5k features):
-#      first-touch vs warm, bytes copied, int8 cleaning gate.
+#      first-touch vs warm, bytes copied.
 #   2. field-scale model — trained on synthetic sequences at production
 #      feature counts (the bundled corpora train only ~1.5k features;
 #      deployments carry hundreds of thousands). The headline warm-open
@@ -60,8 +60,7 @@ LARGE="${BUILD}/load-field.paez"
 ./"${BUILD}"/bench/bench_model_load --make-model "${LARGE}" \
       --make-features "${FEATURES}" --make-seed "${SEED}"
 ./"${BUILD}"/bench/bench_model_load --paez "${LARGE}" \
-      --iterations "${ITERATIONS}" --skip-int8-gate \
-      --json "${BUILD}/load-field.json"
+      --iterations "${ITERATIONS}" --json "${BUILD}/load-field.json"
 
 # ---- merge ----
 python3 - "${BUILD}/load-field.json" "${BUILD}/load-trained.json" \

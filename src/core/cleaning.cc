@@ -213,7 +213,6 @@ Status SemanticCleaner::Train(const ProcessedCorpus& corpus,
   }
   model_ = embed::Word2Vec(config_.word2vec);
   PAE_RETURN_IF_ERROR(model_.Train(sentences));
-  if (config_.quantize_int8) model_.QuantizeInPlace();
   trained_ = true;
   return Status::Ok();
 }

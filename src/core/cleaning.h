@@ -83,13 +83,8 @@ class SemanticCleaner {
     /// Attributes with fewer known in-vocabulary values than this are
     /// not semantically filtered (no reliable core).
     int min_core_values = 3;
+    /// Retrained from scratch on every Train() call (§V-C).
     embed::Word2VecOptions word2vec = DefaultWord2Vec();
-    /// Round-trip the trained vectors through per-row int8 quantization
-    /// (Word2Vec::QuantizeInPlace) before any similarity query — the
-    /// exact values an int8 `.paez` embedding section serves. The
-    /// accuracy gate for quantized artifacts flips this on and asserts
-    /// cleaning decisions are unchanged on the golden corpus.
-    bool quantize_int8 = false;
 
     /// The drift filter must judge values seen only once (merged
     /// multiword candidates are often singletons) and needs sharp

@@ -137,7 +137,7 @@ Status SaveCrfModel(const crf::CrfTagger& tagger,
     pairs += '\n';
   }
   PAE_RETURN_IF_ERROR(PublishFile(pairs, model_path + ".pairs"));
-  return PackModelArtifact(tagger, nullptr, PackOptions(), model_path);
+  return PackModelArtifact(tagger, model_path);
 }
 
 Result<LoadedCrfModel> LoadCrfModel(const std::string& model_path) {

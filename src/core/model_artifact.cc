@@ -15,9 +15,6 @@ namespace pae::core {
 
 namespace {
 
-static_assert(sizeof(embed::QuantParams) == 8,
-              "quant params layout is the format");
-
 /// Caps insane headers before any allocation sized from them.
 constexpr uint32_t kMaxSections = 64;
 
@@ -60,11 +57,11 @@ Status PublishFile(const std::string& bytes, const std::string& path) {
 namespace {
 
 /// Lays out `pending` after the header + table, writes the file.
-Status WriteArtifact(uint64_t flags, std::vector<PendingSection> pending,
+Status WriteArtifact(std::vector<PendingSection> pending,
                      const std::string& out_path) {
   PaezHeader header;
   header.section_count = static_cast<uint32_t>(pending.size());
-  header.flags = flags;
+  header.flags = kPaezFlagCrf;
 
   std::vector<PaezSection> table(pending.size());
   size_t cursor = kPaezHeaderBytes + pending.size() * sizeof(PaezSection);
@@ -178,8 +175,6 @@ uint64_t ArtifactChecksum(const void* data, size_t bytes) {
 }
 
 Status PackModelArtifact(const crf::CrfTagger& tagger,
-                         const embed::Word2Vec* embeddings,
-                         const PackOptions& options,
                          const std::string& out_path) {
   if (!tagger.trained()) {
     return Status::FailedPrecondition("paez: packing an untrained model");
@@ -189,10 +184,8 @@ Status PackModelArtifact(const crf::CrfTagger& tagger,
         "paez: tagger is already packed; pack from the trained tagger");
   }
   const crf::CrfModel& model = tagger.model();
-  uint64_t flags = kPaezFlagCrf;
   std::vector<PendingSection> sections;
 
-  // --- CRF sections ---
   std::vector<util::PackedStringSlot> slots;
   std::vector<util::PackedStringKey> keys;
   std::string arena;
@@ -247,85 +240,7 @@ Status PackModelArtifact(const crf::CrfTagger& tagger,
             tagger.weights_span().size() * sizeof(double));
   sections.push_back(std::move(s));
 
-  // --- embedding sections ---
-  if (embeddings != nullptr) {
-    const size_t dim = embeddings->dim();
-    const size_t vocab = embeddings->vocab_size();
-    if (dim == 0 || vocab == 0) {
-      return Status::FailedPrecondition("paez: embeddings are empty");
-    }
-    std::vector<util::PackedStringSlot> vslots;
-    std::vector<util::PackedStringKey> vkeys;
-    std::string varena;
-    embeddings->vocab().ExportPacked(&vslots, &vkeys, &varena);
-
-    PaezEmbedMeta emeta;
-    emeta.dim = static_cast<uint32_t>(dim);
-    emeta.vocab_count = static_cast<uint32_t>(vocab);
-    emeta.vocab_slot_count = vslots.size();
-    emeta.quantized = options.quantize_embeddings ? 1 : 0;
-
-    s = PendingSection{};
-    s.kind = kEmbedMeta;
-    s.align = 8;
-    AppendPod(&s.payload, &emeta, sizeof(emeta));
-    sections.push_back(std::move(s));
-
-    s = PendingSection{};
-    s.kind = kEmbedVocabSlots;
-    s.align = 16;
-    AppendPod(&s.payload, vslots.data(),
-              vslots.size() * sizeof(util::PackedStringSlot));
-    sections.push_back(std::move(s));
-
-    s = PendingSection{};
-    s.kind = kEmbedVocabKeys;
-    s.align = 16;
-    AppendPod(&s.payload, vkeys.data(),
-              vkeys.size() * sizeof(util::PackedStringKey));
-    sections.push_back(std::move(s));
-
-    s = PendingSection{};
-    s.kind = kEmbedVocabArena;
-    s.align = 1;
-    s.payload = std::move(varena);
-    sections.push_back(std::move(s));
-
-    const math::Matrix& vectors = embeddings->vectors();
-    PAE_CHECK_EQ(vectors.rows(), vocab);
-    PAE_CHECK_EQ(vectors.cols(), dim);
-    if (options.quantize_embeddings) {
-      flags |= kPaezFlagEmbedInt8;
-      std::vector<int8_t> q(vocab * dim);
-      std::vector<embed::QuantParams> params(vocab);
-      for (size_t r = 0; r < vocab; ++r) {
-        params[r] =
-            embed::QuantizeRow(vectors.Row(r), dim, q.data() + r * dim);
-      }
-      s = PendingSection{};
-      s.kind = kEmbedVectorsI8;
-      s.align = 4096;
-      AppendPod(&s.payload, q.data(), q.size());
-      sections.push_back(std::move(s));
-
-      s = PendingSection{};
-      s.kind = kEmbedQuantParams;
-      s.align = 8;
-      AppendPod(&s.payload, params.data(),
-                params.size() * sizeof(embed::QuantParams));
-      sections.push_back(std::move(s));
-    } else {
-      flags |= kPaezFlagEmbedF32;
-      s = PendingSection{};
-      s.kind = kEmbedVectorsF32;
-      s.align = 4096;
-      AppendPod(&s.payload, vectors.data().data(),
-                vectors.data().size() * sizeof(float));
-      sections.push_back(std::move(s));
-    }
-  }
-
-  return WriteArtifact(flags, std::move(sections), out_path);
+  return WriteArtifact(std::move(sections), out_path);
 }
 
 const uint8_t* ModelArtifact::SectionData(PaezSectionKind kind) const {
@@ -370,6 +285,10 @@ Result<std::shared_ptr<const ModelArtifact>> ModelArtifact::Open(
   if (header.file_bytes != file_bytes) {
     return Status::OutOfRange("paez: file size mismatch in " + path);
   }
+  if (header.flags != kPaezFlagCrf) {
+    return Status::InvalidArgument("paez: unsupported header flags in " +
+                                   path);
+  }
   if (header.section_count == 0 || header.section_count > kMaxSections) {
     return Status::InvalidArgument("paez: bad section count in " + path);
   }
@@ -402,9 +321,9 @@ Result<std::shared_ptr<const ModelArtifact>> ModelArtifact::Open(
         section.length > file_bytes - section.offset) {
       return Status::OutOfRange("paez: section out of file bounds in " + path);
     }
-    if (section.kind == 0 || section.kind > kEmbedQuantParams) {
-      // Includes the reserved kLstmParams: a v1 reader must not guess
-      // at sections it cannot interpret.
+    if (section.kind == 0 || section.kind > kCrfWeights) {
+      // Includes the retired kinds 7–14: a v1 reader must not guess at
+      // sections it cannot interpret.
       return Status::InvalidArgument("paez: unknown section kind in " + path);
     }
   }
@@ -465,99 +384,44 @@ Result<std::shared_ptr<const ModelArtifact>> ModelArtifact::Open(
     return Status::Ok();
   };
 
-  if ((header.flags & kPaezFlagCrf) != 0) {
-    PAE_RETURN_IF_ERROR(require(kCrfMeta, 1, sizeof(PaezCrfMeta), "crf meta"));
-    std::memcpy(&artifact->crf_meta_, artifact->SectionData(kCrfMeta),
-                sizeof(PaezCrfMeta));
-    const PaezCrfMeta& meta = artifact->crf_meta_;
-    const uint64_t labels = meta.num_labels;
-    const uint64_t features = meta.num_features;
-    if (labels == 0 || features == 0 ||
-        meta.weight_count !=
-            features * labels + labels * labels + 2 * labels) {
-      return Status::InvalidArgument("paez: inconsistent crf meta in " + path);
-    }
-    PAE_RETURN_IF_ERROR(
-        require(kCrfFeatureSlots, meta.feature_slot_count,
-                sizeof(util::PackedStringSlot), "crf feature slot"));
-    PAE_RETURN_IF_ERROR(require(
-        kCrfFeatureKeys, features, sizeof(util::PackedStringKey),
-        "crf feature key"));
-    if (artifact->SectionData(kCrfFeatureArena) == nullptr) {
-      return Status::InvalidArgument("paez: missing crf arena section in " +
-                                     path);
-    }
-    PAE_RETURN_IF_ERROR(require(kCrfWeights, meta.weight_count,
-                                sizeof(double), "crf weight"));
-    PAE_RETURN_IF_ERROR(CheckTableShape(meta.feature_slot_count, features,
-                                        "crf feature", path));
-    if (options.verify_checksums) {
-      PAE_RETURN_IF_ERROR(util::StringTableView::Validate(
-          reinterpret_cast<const util::PackedStringSlot*>(
-              artifact->SectionData(kCrfFeatureSlots)),
-          meta.feature_slot_count,
-          reinterpret_cast<const util::PackedStringKey*>(
-              artifact->SectionData(kCrfFeatureKeys)),
-          features, artifact->SectionLength(kCrfFeatureArena)));
-    }
-    PAE_RETURN_IF_ERROR(ParseLabels(artifact->SectionData(kCrfLabels),
-                                    artifact->SectionLength(kCrfLabels),
-                                    &artifact->labels_));
-    if (artifact->labels_.size() != labels) {
-      return Status::InvalidArgument("paez: label count mismatch in " + path);
-    }
+  PAE_RETURN_IF_ERROR(require(kCrfMeta, 1, sizeof(PaezCrfMeta), "crf meta"));
+  std::memcpy(&artifact->crf_meta_, artifact->SectionData(kCrfMeta),
+              sizeof(PaezCrfMeta));
+  const PaezCrfMeta& meta = artifact->crf_meta_;
+  const uint64_t labels = meta.num_labels;
+  const uint64_t features = meta.num_features;
+  if (labels == 0 || features == 0 ||
+      meta.weight_count != features * labels + labels * labels + 2 * labels) {
+    return Status::InvalidArgument("paez: inconsistent crf meta in " + path);
   }
-
-  if ((header.flags & (kPaezFlagEmbedF32 | kPaezFlagEmbedInt8)) != 0) {
-    if ((header.flags & kPaezFlagEmbedF32) != 0 &&
-        (header.flags & kPaezFlagEmbedInt8) != 0) {
-      return Status::InvalidArgument("paez: both embedding variants in " +
-                                     path);
-    }
-    PAE_RETURN_IF_ERROR(
-        require(kEmbedMeta, 1, sizeof(PaezEmbedMeta), "embed meta"));
-    std::memcpy(&artifact->embed_meta_, artifact->SectionData(kEmbedMeta),
-                sizeof(PaezEmbedMeta));
-    const PaezEmbedMeta& emeta = artifact->embed_meta_;
-    const bool quantized = (header.flags & kPaezFlagEmbedInt8) != 0;
-    if (emeta.dim == 0 || emeta.vocab_count == 0 ||
-        (emeta.quantized != 0) != quantized) {
-      return Status::InvalidArgument("paez: inconsistent embed meta in " +
-                                     path);
-    }
-    const uint64_t vocab = emeta.vocab_count;
-    const uint64_t dim = emeta.dim;
-    PAE_RETURN_IF_ERROR(
-        require(kEmbedVocabSlots, emeta.vocab_slot_count,
-                sizeof(util::PackedStringSlot), "embed vocab slot"));
-    PAE_RETURN_IF_ERROR(require(kEmbedVocabKeys, vocab,
-                                sizeof(util::PackedStringKey),
-                                "embed vocab key"));
-    if (artifact->SectionData(kEmbedVocabArena) == nullptr) {
-      return Status::InvalidArgument("paez: missing embed arena section in " +
-                                     path);
-    }
-    if (quantized) {
-      PAE_RETURN_IF_ERROR(
-          require(kEmbedVectorsI8, vocab * dim, 1, "embed int8 vector"));
-      PAE_RETURN_IF_ERROR(require(kEmbedQuantParams, vocab,
-                                  sizeof(embed::QuantParams),
-                                  "embed quant param"));
-    } else {
-      PAE_RETURN_IF_ERROR(require(kEmbedVectorsF32, vocab * dim,
-                                  sizeof(float), "embed f32 vector"));
-    }
-    PAE_RETURN_IF_ERROR(CheckTableShape(emeta.vocab_slot_count, vocab,
-                                        "embed vocab", path));
-    if (options.verify_checksums) {
-      PAE_RETURN_IF_ERROR(util::StringTableView::Validate(
-          reinterpret_cast<const util::PackedStringSlot*>(
-              artifact->SectionData(kEmbedVocabSlots)),
-          emeta.vocab_slot_count,
-          reinterpret_cast<const util::PackedStringKey*>(
-              artifact->SectionData(kEmbedVocabKeys)),
-          vocab, artifact->SectionLength(kEmbedVocabArena)));
-    }
+  PAE_RETURN_IF_ERROR(
+      require(kCrfFeatureSlots, meta.feature_slot_count,
+              sizeof(util::PackedStringSlot), "crf feature slot"));
+  PAE_RETURN_IF_ERROR(require(kCrfFeatureKeys, features,
+                              sizeof(util::PackedStringKey),
+                              "crf feature key"));
+  if (artifact->SectionData(kCrfFeatureArena) == nullptr) {
+    return Status::InvalidArgument("paez: missing crf arena section in " +
+                                   path);
+  }
+  PAE_RETURN_IF_ERROR(
+      require(kCrfWeights, meta.weight_count, sizeof(double), "crf weight"));
+  PAE_RETURN_IF_ERROR(CheckTableShape(meta.feature_slot_count, features,
+                                      "crf feature", path));
+  if (options.verify_checksums) {
+    PAE_RETURN_IF_ERROR(util::StringTableView::Validate(
+        reinterpret_cast<const util::PackedStringSlot*>(
+            artifact->SectionData(kCrfFeatureSlots)),
+        meta.feature_slot_count,
+        reinterpret_cast<const util::PackedStringKey*>(
+            artifact->SectionData(kCrfFeatureKeys)),
+        features, artifact->SectionLength(kCrfFeatureArena)));
+  }
+  PAE_RETURN_IF_ERROR(ParseLabels(artifact->SectionData(kCrfLabels),
+                                  artifact->SectionLength(kCrfLabels),
+                                  &artifact->labels_));
+  if (artifact->labels_.size() != labels) {
+    return Status::InvalidArgument("paez: label count mismatch in " + path);
   }
 
   return std::shared_ptr<const ModelArtifact>(std::move(artifact));
@@ -566,9 +430,6 @@ Result<std::shared_ptr<const ModelArtifact>> ModelArtifact::Open(
 Result<crf::PackedCrfModel> MakePackedCrfModel(
     std::shared_ptr<const ModelArtifact> artifact) {
   PAE_CHECK(artifact != nullptr);
-  if (!artifact->has_crf()) {
-    return Status::FailedPrecondition("paez: artifact has no CRF sections");
-  }
   const PaezCrfMeta& meta = artifact->crf_meta();
   crf::PackedCrfModel packed;
   packed.window = meta.window;
@@ -589,38 +450,6 @@ Result<crf::PackedCrfModel> MakePackedCrfModel(
                                         artifact->SectionLength(kCrfWeights));
   packed.owner = std::move(artifact);
   return packed;
-}
-
-Result<embed::PackedEmbeddings> MakePackedEmbeddings(
-    std::shared_ptr<const ModelArtifact> artifact) {
-  PAE_CHECK(artifact != nullptr);
-  if (!artifact->has_embeddings()) {
-    return Status::FailedPrecondition(
-        "paez: artifact has no embedding sections");
-  }
-  const PaezEmbedMeta& meta = artifact->embed_meta();
-  const util::StringTableView vocab(
-      reinterpret_cast<const util::PackedStringSlot*>(
-          artifact->SectionData(kEmbedVocabSlots)),
-      meta.vocab_slot_count,
-      reinterpret_cast<const util::PackedStringKey*>(
-          artifact->SectionData(kEmbedVocabKeys)),
-      meta.vocab_count,
-      reinterpret_cast<const char*>(artifact->SectionData(kEmbedVocabArena)),
-      artifact->SectionLength(kEmbedVocabArena));
-  if (artifact->embeddings_quantized()) {
-    const int8_t* vectors =
-        reinterpret_cast<const int8_t*>(artifact->SectionData(kEmbedVectorsI8));
-    const embed::QuantParams* params =
-        reinterpret_cast<const embed::QuantParams*>(
-            artifact->SectionData(kEmbedQuantParams));
-    return embed::PackedEmbeddings::FromInt8(vocab, meta.dim, vectors, params,
-                                             std::move(artifact));
-  }
-  const float* vectors =
-      reinterpret_cast<const float*>(artifact->SectionData(kEmbedVectorsF32));
-  return embed::PackedEmbeddings::FromF32(vocab, meta.dim, vectors,
-                                          std::move(artifact));
 }
 
 }  // namespace pae::core

@@ -1,14 +1,13 @@
 #ifndef PAE_CORE_MODEL_ARTIFACT_H_
 #define PAE_CORE_MODEL_ARTIFACT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "crf/crf_tagger.h"
-#include "embed/packed_embeddings.h"
-#include "embed/word2vec.h"
 #include "util/mmap_file.h"
 #include "util/status.h"
 
@@ -25,7 +24,7 @@ namespace pae::core {
 //   │ (32 bytes each)              │ payload checksum
 //   ├──────────────────────────────┤ first aligned offset
 //   │ section payloads…            │ each padded to its alignment;
-//   │                              │ weight/vector blocks are
+//   │                              │ the weight block is
 //   │                              │ page-aligned (4096)
 //   └──────────────────────────────┘ offset file_bytes
 //
@@ -38,9 +37,10 @@ namespace pae::core {
 // Versioning and compatibility: `version` is bumped on any layout
 // change; readers reject unknown versions (no silent best-effort
 // parse). Unknown section kinds are rejected too — v1 files contain
-// exactly the kinds below. Kind 14 (kLstmParams) is RESERVED for the
-// BiLSTM parameter block; reserving the id now means v1 readers fail
-// loudly on v2 files instead of mis-slicing them.
+// exactly the six CRF kinds below and nothing else. Kinds 7–14 once
+// held word2vec embeddings (f32 and int8) and a reserved BiLSTM block;
+// no writer emits them, readers reject them like any unknown kind, and
+// their ids are never reused.
 //
 // Checksum policy: the section *table* checksum is always verified on
 // open (cheap, and it is what bounds every later read). Per-section
@@ -57,10 +57,9 @@ inline constexpr uint32_t kPaezMagic = 0x5A454150;  // "PAEZ" little-endian
 inline constexpr uint32_t kPaezVersion = 1;
 inline constexpr uint32_t kPaezHeaderBytes = 64;
 
-// Header flag bits.
+// The header's only valid `flags` value: the file holds a CRF. Bits 1
+// and 2 once marked embedding sections and are never reused.
 inline constexpr uint64_t kPaezFlagCrf = 1u << 0;
-inline constexpr uint64_t kPaezFlagEmbedF32 = 1u << 1;
-inline constexpr uint64_t kPaezFlagEmbedInt8 = 1u << 2;
 
 struct PaezHeader {
   uint32_t magic = kPaezMagic;
@@ -83,17 +82,6 @@ enum PaezSectionKind : uint32_t {
   kCrfFeatureKeys = 4,   // PackedStringKey[num_features]
   kCrfFeatureArena = 5,  // raw key bytes
   kCrfWeights = 6,       // double[weight_count], page-aligned
-  kEmbedMeta = 7,        // PaezEmbedMeta
-  kEmbedVocabSlots = 8,  // PackedStringSlot[vocab_slot_count]
-  kEmbedVocabKeys = 9,   // PackedStringKey[vocab_count]
-  kEmbedVocabArena = 10,  // raw word bytes
-  kEmbedVectorsF32 = 11,  // float[vocab_count × dim], page-aligned
-  kEmbedVectorsI8 = 12,   // int8[vocab_count × dim], page-aligned
-  kEmbedQuantParams = 13,  // embed::QuantParams[vocab_count]
-  /// RESERVED for the BiLSTM parameter block (embedding table, gate
-  /// weight slabs, projection). Not emitted by v1 writers; v1 readers
-  /// reject files containing it, which is the compatibility contract.
-  kLstmParams = 14,
 };
 
 struct PaezSection {
@@ -117,24 +105,8 @@ struct PaezCrfMeta {
 };
 static_assert(sizeof(PaezCrfMeta) == 48, "crf meta layout is the format");
 
-struct PaezEmbedMeta {
-  uint32_t dim = 0;
-  uint32_t vocab_count = 0;
-  uint64_t vocab_slot_count = 0;
-  uint32_t quantized = 0;  // 0 = f32 section, 1 = int8 + quant params
-  uint32_t reserved = 0;
-};
-static_assert(sizeof(PaezEmbedMeta) == 24, "embed meta layout is the format");
-
 /// FNV-1a 64-bit over a byte range; the artifact's only checksum.
 uint64_t ArtifactChecksum(const void* data, size_t bytes);
-
-struct PackOptions {
-  /// Write the embedding matrix as per-row affine int8 (+ QuantParams
-  /// section) instead of float32. The accuracy gate for this variant
-  /// lives in the bench/tests, not here.
-  bool quantize_embeddings = false;
-};
 
 /// Replaces `path` with `bytes` without ever truncating it: the bytes go
 /// to a fresh file in the same directory, which is fsync'ed and then
@@ -143,17 +115,24 @@ struct PackOptions {
 /// would SIGBUS it on the next page past the new end of file.
 Status PublishFile(const std::string& bytes, const std::string& path);
 
-/// Packs a trained CRF tagger (and optionally embeddings) into a
-/// `.paez` artifact at `out_path`. Deterministic: the same model bytes
-/// always produce the same file. The tagger must be trained in memory
-/// (not itself packed). An existing `out_path` is replaced, never
-/// truncated: the bytes go to a temporary file in the same directory
-/// that is fsync'ed and renamed over it, so a process that has the old
-/// artifact mapped keeps reading the old bytes.
+/// Packs a trained CRF tagger into a `.paez` artifact at `out_path`.
+/// Deterministic: the same model bytes always produce the same file.
+/// The tagger must be trained in memory (not itself packed). An
+/// existing `out_path` is replaced, never truncated: the bytes go to a
+/// temporary file in the same directory that is fsync'ed and renamed
+/// over it, so a process that has the old artifact mapped keeps reading
+/// the old bytes.
 Status PackModelArtifact(const crf::CrfTagger& tagger,
-                         const embed::Word2Vec* embeddings,
-                         const PackOptions& options,
                          const std::string& out_path);
+
+/// The old four-argument spelling, kept only because the end-to-end
+/// benchmark (perfbench/src/workloads.cc) still calls
+/// `PackModelArtifact(tagger, nullptr, {}, path)`. Deleted by the next
+/// benchmark change, together with the serve/loadgen.h rename.
+inline Status PackModelArtifact(const crf::CrfTagger& tagger, std::nullptr_t,
+                                std::nullptr_t, const std::string& out_path) {
+  return PackModelArtifact(tagger, out_path);
+}
 
 /// A validated, mmap'ed `.paez` artifact. Open() performs the full
 /// structural validation pass (bounds, alignment, overlap, table
@@ -175,18 +154,9 @@ class ModelArtifact {
     return Open(path, OpenOptions());
   }
 
-  bool has_crf() const { return (header_.flags & kPaezFlagCrf) != 0; }
-  bool has_embeddings() const {
-    return (header_.flags & (kPaezFlagEmbedF32 | kPaezFlagEmbedInt8)) != 0;
-  }
-  bool embeddings_quantized() const {
-    return (header_.flags & kPaezFlagEmbedInt8) != 0;
-  }
-
   const PaezHeader& header() const { return header_; }
   const std::vector<PaezSection>& sections() const { return sections_; }
   const PaezCrfMeta& crf_meta() const { return crf_meta_; }
-  const PaezEmbedMeta& embed_meta() const { return embed_meta_; }
   size_t file_bytes() const { return map_.size(); }
 
   /// Section payload start, or nullptr when the kind is absent.
@@ -201,7 +171,6 @@ class ModelArtifact {
   PaezHeader header_;
   std::vector<PaezSection> sections_;
   PaezCrfMeta crf_meta_;
-  PaezEmbedMeta embed_meta_;
   std::vector<std::string> labels_;  // parsed once at Open (tiny)
 
   friend Result<crf::PackedCrfModel> MakePackedCrfModel(
@@ -212,10 +181,6 @@ class ModelArtifact {
 /// short strings), feature table and weights referenced in place. The
 /// returned model's `owner` pins `artifact` (and its mapping).
 Result<crf::PackedCrfModel> MakePackedCrfModel(
-    std::shared_ptr<const ModelArtifact> artifact);
-
-/// Builds the zero-copy embedding view (f32 or int8 per the artifact).
-Result<embed::PackedEmbeddings> MakePackedEmbeddings(
     std::shared_ptr<const ModelArtifact> artifact);
 
 }  // namespace pae::core

@@ -8,41 +8,12 @@
 #include "math/vec.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/serial.h"
 #include "util/thread_pool.h"
 
 namespace pae::embed {
 
 namespace {
 constexpr size_t kUnigramTableSize = 1 << 17;
-}
-
-QuantParams QuantizeRow(const float* row, size_t dim, int8_t* out) {
-  float lo = row[0];
-  float hi = row[0];
-  for (size_t i = 1; i < dim; ++i) {
-    lo = std::min(lo, row[i]);
-    hi = std::max(hi, row[i]);
-  }
-  QuantParams params;
-  params.scale = (hi > lo) ? (hi - lo) / 255.0f : 1.0f;
-  params.zero_point = static_cast<int32_t>(
-      std::lround(-128.0 - static_cast<double>(lo) / params.scale));
-  for (size_t i = 0; i < dim; ++i) {
-    const long q = std::lround(static_cast<double>(row[i]) / params.scale) +
-                   params.zero_point;
-    out[i] = static_cast<int8_t>(std::clamp<long>(q, -128, 127));
-  }
-  return params;
-}
-
-void DequantizeRow(const int8_t* q, size_t dim, QuantParams params,
-                   float* out) {
-  for (size_t i = 0; i < dim; ++i) {
-    out[i] = params.scale *
-             static_cast<float>(static_cast<int32_t>(q[i]) -
-                                params.zero_point);
-  }
 }
 
 Word2Vec::Word2Vec(Word2VecOptions options) : options_(options) {}
@@ -272,18 +243,6 @@ Status Word2Vec::Train(
   return Status::Ok();
 }
 
-void Word2Vec::QuantizeInPlace() {
-  if (!trained_) return;
-  const size_t d = dim();
-  std::vector<int8_t> q(d);
-  // Row 0 is "<unk>" and never served; quantize it anyway for symmetry.
-  for (size_t i = 0; i < vocab_.size(); ++i) {
-    float* row = in_vectors_.Row(i);
-    const QuantParams params = QuantizeRow(row, d, q.data());
-    DequantizeRow(q.data(), d, params, row);
-  }
-}
-
 const float* Word2Vec::Vector(const std::string& word) const {
   if (!trained_) return nullptr;
   int32_t id = vocab_.Lookup(word);
@@ -306,65 +265,6 @@ double Word2Vec::Cosine(const float* a, const float* b, size_t dim) {
   // Deduplicated against math::CosineSimilarity: both now share the
   // kernel-layer dot/norm reductions and the CosineFromNorms contract.
   return math::kernels::Cosine(a, b, dim);
-}
-
-}  // namespace pae::embed
-
-namespace pae::embed {
-
-namespace {
-constexpr uint32_t kW2vMagic = 0x57325631;  // "W2V1"
-constexpr uint32_t kW2vVersion = 1;
-}  // namespace
-
-Status Word2Vec::Save(const std::string& path) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("word2vec: saving untrained model");
-  }
-  BinaryWriter writer(path, kW2vMagic, kW2vVersion);
-  writer.WriteI32(options_.dim);
-  std::vector<std::string> words;
-  words.reserve(vocab_.size());
-  for (size_t i = 0; i < vocab_.size(); ++i) {
-    words.emplace_back(vocab_.Word(static_cast<int32_t>(i)));
-  }
-  writer.WriteStringVec(words);
-  writer.WriteFloatVec(in_vectors_.data());
-  return writer.Finish();
-}
-
-Status Word2Vec::Load(const std::string& path) {
-  BinaryReader reader(path, kW2vMagic, kW2vVersion);
-  if (!reader.ok()) return reader.status();
-  int32_t dim = 0;
-  std::vector<std::string> words;
-  std::vector<float> vectors;
-  if (!reader.ReadI32(&dim) || !reader.ReadStringVec(&words) ||
-      !reader.ReadFloatVec(&vectors)) {
-    return reader.status().ok()
-               ? Status::Internal("word2vec: malformed model file")
-               : reader.status();
-  }
-  if (dim <= 0 ||
-      vectors.size() != words.size() * static_cast<size_t>(dim)) {
-    return Status::InvalidArgument("word2vec: dimension mismatch");
-  }
-  options_.dim = dim;
-  // Legacy parse copies the whole vocabulary and matrix into owned
-  // memory; counted for the zero-copy before/after evidence.
-  size_t copied = vectors.size() * sizeof(float);
-  for (const std::string& word : words) copied += word.size();
-  util::MetricsRegistry::Global()
-      .GetCounter("model.load.bytes_copied")
-      ->Add(static_cast<int64_t>(copied));
-  vocab_ = text::Vocab();
-  vocab_.Reserve(words.size() + 1);
-  for (const std::string& word : words) vocab_.GetOrAdd(word);
-  in_vectors_ = math::Matrix(words.size(), static_cast<size_t>(dim));
-  in_vectors_.data() = std::move(vectors);
-  out_vectors_ = math::Matrix();
-  trained_ = true;
-  return Status::Ok();
 }
 
 }  // namespace pae::embed

@@ -12,21 +12,6 @@
 
 namespace pae::embed {
 
-/// Per-row affine int8 quantization parameters:
-/// real[i] = scale · (q[i] − zero_point), q ∈ [−128, 127].
-struct QuantParams {
-  float scale = 1.0f;
-  int32_t zero_point = 0;
-};
-
-/// Quantizes `row[0, dim)` to int8 with a per-row affine mapping that
-/// spans [min, max] exactly. Deterministic: pure function of the row.
-QuantParams QuantizeRow(const float* row, size_t dim, int8_t* out);
-
-/// Inverse mapping: out[i] = params.scale · (q[i] − params.zero_point).
-void DequantizeRow(const int8_t* q, size_t dim, QuantParams params,
-                   float* out);
-
 /// Word2vec hyper-parameters (skip-gram with negative sampling).
 struct Word2VecOptions {
   int dim = 50;
@@ -56,7 +41,10 @@ struct Word2VecOptions {
 /// Skip-gram word2vec trained from scratch on the product-page corpus of
 /// the current bootstrap iteration (§V-C: embeddings cannot be reused
 /// across iterations because each iteration discovers new entities,
-/// which the semantic-cleaning module must be able to place).
+/// which the semantic-cleaning module must be able to place). So the
+/// vectors live only as long as the cycle that trained them: there is
+/// no file format for them, and the deployed `.paez` artifact holds the
+/// CRF alone.
 class Word2Vec {
  public:
   explicit Word2Vec(Word2VecOptions options = {});
@@ -77,24 +65,6 @@ class Word2Vec {
 
   /// Cosine similarity between raw vectors of dimension dim().
   static double Cosine(const float* a, const float* b, size_t dim);
-
-  /// Persists the trained embeddings (vocabulary + input vectors).
-  Status Save(const std::string& path) const;
-  /// Restores embeddings previously written by Save. The loaded model
-  /// answers similarity queries but cannot be trained further.
-  Status Load(const std::string& path);
-
-  /// Round-trips every published vector through per-row int8 affine
-  /// quantization (QuantizeRow → DequantizeRow in place). After this,
-  /// similarity queries see exactly the values an int8 `.paez`
-  /// embedding section yields — the hook behind
-  /// SemanticCleaner::Config::quantize_int8 and the accuracy gate for
-  /// the quantized artifact variant. No-op before training.
-  void QuantizeInPlace();
-
-  /// Read access for the artifact writer (pae-model-pack).
-  const text::Vocab& vocab() const { return vocab_; }
-  const math::Matrix& vectors() const { return in_vectors_; }
 
  private:
   Word2VecOptions options_;

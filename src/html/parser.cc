@@ -227,26 +227,11 @@ void ExtractTextRec(const HtmlNode& node, std::string* out) {
   for (const auto& child : node.children) ExtractTextRec(*child, out);
   if (block && !out->empty() && out->back() != '\n') out->push_back('\n');
 }
-
-void FindAllRec(const HtmlNode& node, std::string_view tag,
-                std::vector<const HtmlNode*>* out) {
-  if (node.type == HtmlNode::Type::kElement && node.tag == tag) {
-    out->push_back(&node);
-  }
-  for (const auto& child : node.children) FindAllRec(*child, tag, out);
-}
 }  // namespace
 
 std::string ExtractText(const HtmlNode& node) {
   std::string out;
   ExtractTextRec(node, &out);
-  return out;
-}
-
-std::vector<const HtmlNode*> FindAll(const HtmlNode& node,
-                                     std::string_view tag) {
-  std::vector<const HtmlNode*> out;
-  FindAllRec(node, tag, &out);
   return out;
 }
 

@@ -49,11 +49,6 @@ std::string DecodeEntities(std::string_view s);
 /// natural breaks.
 std::string ExtractText(const HtmlNode& node);
 
-/// Returns all descendant elements (including `node` itself) with the
-/// given lowercase tag name, in document order.
-std::vector<const HtmlNode*> FindAll(const HtmlNode& node,
-                                     std::string_view tag);
-
 }  // namespace pae::html
 
 #endif  // PAE_HTML_PARSER_H_

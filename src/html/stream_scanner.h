@@ -13,13 +13,14 @@ namespace pae::html {
 /// One-pass page scanner: produces the visible text and the dictionary
 /// tables of a product page without materializing a DOM. This is the
 /// hot path of streaming ingestion (core/ingest.h) — per page it saves
-/// the node-tree allocation, the tag strings, and the two tree walks
-/// (ExtractText + ExtractDictionaryTables) the barrier pipeline pays.
+/// the node-tree allocation, the tag strings, and the two tree walks a
+/// DOM front end pays (text, then tables).
 ///
 /// Equivalence contract, enforced by tests/stream_scanner_test.cc with
 /// a randomized differential against the DOM path: after Scan(html),
 ///   text()   is byte-identical to ExtractText(*ParseHtml(html)), and
-///   tables() compares equal to ExtractDictionaryTables(*ParseHtml(html)).
+///   tables() compares equal to the DOM table oracle
+///            (tests/support: oracle::ExtractDictionaryTables).
 /// The scanner replicates ParseHtml's tolerant behavior exactly:
 /// unmatched close tags are ignored, unclosed elements close at end of
 /// input, comments/doctype are skipped, script/style bodies are

@@ -20,27 +20,6 @@ std::string CollapseCellText(std::string_view raw) {
   return std::string(StripAsciiWhitespace(collapsed));
 }
 
-namespace {
-/// Collects the text of one cell, collapsing internal newlines to spaces.
-std::string CellText(const HtmlNode& cell) {
-  return CollapseCellText(ExtractText(cell));
-}
-}  // namespace
-
-TableGrid ExtractGrid(const HtmlNode& table) {
-  TableGrid grid;
-  for (const HtmlNode* tr : FindAll(table, "tr")) {
-    std::vector<std::string> row;
-    for (const auto& child : tr->children) {
-      if (child->IsElement("td") || child->IsElement("th")) {
-        row.push_back(CellText(*child));
-      }
-    }
-    if (!row.empty()) grid.push_back(std::move(row));
-  }
-  return grid;
-}
-
 bool GridToDictionary(const TableGrid& grid, DictionaryTable* out) {
   out->entries.clear();
   if (grid.empty()) return false;
@@ -73,16 +52,6 @@ bool GridToDictionary(const TableGrid& grid, DictionaryTable* out) {
     return !out->entries.empty();
   }
   return false;
-}
-
-std::vector<DictionaryTable> ExtractDictionaryTables(const HtmlNode& root) {
-  std::vector<DictionaryTable> out;
-  for (const HtmlNode* table : FindAll(root, "table")) {
-    TableGrid grid = ExtractGrid(*table);
-    DictionaryTable dict;
-    if (GridToDictionary(grid, &dict)) out.push_back(std::move(dict));
-  }
-  return out;
 }
 
 }  // namespace pae::html

@@ -2,9 +2,9 @@
 #define PAE_HTML_TABLE_EXTRACTOR_H_
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
-
-#include "html/parser.h"
 
 namespace pae::html {
 
@@ -19,20 +19,14 @@ using TableGrid = std::vector<std::vector<std::string>>;
 
 /// Normalizes one cell's extracted text: internal newlines/tabs/space
 /// runs collapse to a single space, edges are trimmed. Shared by the
-/// DOM grid extraction and the streaming scanner.
+/// streaming scanner and the DOM grid oracle in tests/support.
 std::string CollapseCellText(std::string_view raw);
-
-/// Builds the cell grid of a single <table> element.
-TableGrid ExtractGrid(const HtmlNode& table);
 
 /// Detects whether `grid` has dictionary structure — exactly 2 columns ×
 /// n rows (key in column 0) or exactly 2 rows × n columns (key in row 0),
 /// following the seed-extraction convention of §V-A — and converts it.
 /// Returns false if the grid is not in dictionary form.
 bool GridToDictionary(const TableGrid& grid, DictionaryTable* out);
-
-/// Finds every dictionary-form table in the document.
-std::vector<DictionaryTable> ExtractDictionaryTables(const HtmlNode& root);
 
 }  // namespace pae::html
 

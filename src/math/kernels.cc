@@ -50,12 +50,6 @@ double SumSqScalar(const float* a, size_t n) {
   return detail::FinishSumSq(lanes, a, i, n);
 }
 
-Q8Moments DotQ8Scalar(const int8_t* a, const int8_t* b, size_t n) {
-  Q8Moments m;
-  detail::FinishDotQ8(&m, a, b, 0, n);
-  return m;
-}
-
 void AxpyScalar(float alpha, const float* x, float* y, size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
@@ -221,10 +215,10 @@ const Dispatch& ActiveDispatch() {
 
 namespace detail {
 const KernelTable kScalarTable = {
-    DotScalar,     SumSqScalar,    DotQ8Scalar,         AxpyScalar,
-    ScaleScalar,   MatVecScalar,   MatTVecScalar,       AddOuterScalar,
-    LstmGatePreactScalar,          MatMulScalar,        MatTVecBatchScalar,
-    LstmGatePreactBatchScalar,
+    DotScalar,          SumSqScalar,         AxpyScalar,
+    ScaleScalar,        MatVecScalar,        MatTVecScalar,
+    AddOuterScalar,     LstmGatePreactScalar, MatMulScalar,
+    MatTVecBatchScalar, LstmGatePreactBatchScalar,
 };
 }  // namespace detail
 
@@ -290,10 +284,6 @@ double Dot(const float* a, const float* b, size_t n) {
 
 double SumSq(const float* a, size_t n) {
   return ActiveDispatch().table->sumsq(a, n);
-}
-
-Q8Moments DotQ8(const int8_t* a, const int8_t* b, size_t n) {
-  return ActiveDispatch().table->dotq8(a, b, n);
 }
 
 void Axpy(float alpha, const float* x, float* y, size_t n) {

@@ -3,7 +3,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 
 namespace pae::math::kernels {
@@ -75,53 +74,6 @@ inline double CosineFromNorms(double dot, double norm_a, double norm_b) {
 /// Cosine similarity of two raw vectors (norms computed here).
 inline double Cosine(const float* a, const float* b, size_t n) {
   return CosineFromNorms(Dot(a, b, n), Norm2(a, n), Norm2(b, n));
-}
-
-// ---------------------------------------------------------------------
-// Quantized (int8) reductions for the mmap'ed embedding sections.
-// ---------------------------------------------------------------------
-
-/// Exact integer moments of two int8 rows. Every affine-quantization
-/// similarity (dot, norm, cosine under per-row scale/zero-point)
-/// expands into these five sums, and integer addition is associative —
-/// so the SIMD tiers are bit-identical to scalar *by arithmetic*, not
-/// just by lane discipline, and the float math happens exactly once in
-/// the combine step (CosineQ8 below).
-struct Q8Moments {
-  int64_t dot = 0;      // Σ a[i]·b[i]
-  int64_t sum_a = 0;    // Σ a[i]
-  int64_t sum_b = 0;    // Σ b[i]
-  int64_t sumsq_a = 0;  // Σ a[i]²
-  int64_t sumsq_b = 0;  // Σ b[i]²
-};
-
-/// Computes the five Q8Moments sums in one pass (dispatched:
-/// scalar / SSE2 madd / AVX2 madd).
-Q8Moments DotQ8(const int8_t* a, const int8_t* b, size_t n);
-
-/// Cosine of two affine-quantized rows (real[i] = scale·(q[i]−zp)) from
-/// their integer moments. Expansion:
-///   dot   = s_a·s_b·(Σab − z_b·Σa − z_a·Σb + n·z_a·z_b)
-///   |a|²  = s_a²·(Σa² − 2·z_a·Σa + n·z_a²)
-/// The moments are exact integers, so this is the only rounding site.
-inline double CosineQ8(const Q8Moments& m, size_t n, float scale_a,
-                       int32_t zp_a, float scale_b, int32_t zp_b) {
-  const double sa = scale_a;
-  const double sb = scale_b;
-  const double za = zp_a;
-  const double zb = zp_b;
-  const double nd = static_cast<double>(n);
-  const double dot = sa * sb *
-                     (static_cast<double>(m.dot) - zb * m.sum_a -
-                      za * m.sum_b + nd * za * zb);
-  const double na2 =
-      sa * sa * (static_cast<double>(m.sumsq_a) - 2.0 * za * m.sum_a +
-                 nd * za * za);
-  const double nb2 =
-      sb * sb * (static_cast<double>(m.sumsq_b) - 2.0 * zb * m.sum_b +
-                 nd * zb * zb);
-  return CosineFromNorms(dot, std::sqrt(na2 > 0.0 ? na2 : 0.0),
-                         std::sqrt(nb2 > 0.0 ? nb2 : 0.0));
 }
 
 // ---------------------------------------------------------------------

@@ -51,69 +51,6 @@ double SumSqAvx2(const float* a, size_t n) {
   return detail::FinishSumSq(lanes, a, i, n);
 }
 
-/// Σ of the eight epi32 lanes, widened to int64 (exact — order free).
-int64_t HSum32Avx2(__m256i v) {
-  alignas(32) int32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-  return static_cast<int64_t>(lanes[0]) + lanes[1] + lanes[2] + lanes[3] +
-         lanes[4] + lanes[5] + lanes[6] + lanes[7];
-}
-
-Q8Moments DotQ8Avx2(const int8_t* a, const int8_t* b, size_t n) {
-  // 32 int8 per iteration: cvtepi8_epi16 on each 16-byte half, then
-  // madd_epi16 into epi32 partials, flushed to int64 every kFlushIters
-  // iterations (same overflow budget as the SSE2 tier: worst case
-  // 2·32768 per lane per iteration).
-  constexpr size_t kFlushIters = 8192;
-  Q8Moments m;
-  const __m256i ones = _mm256_set1_epi16(1);
-  size_t i = 0;
-  while (i + 32 <= n) {
-    __m256i dot = _mm256_setzero_si256();
-    __m256i sa = _mm256_setzero_si256();
-    __m256i sb = _mm256_setzero_si256();
-    __m256i qa = _mm256_setzero_si256();
-    __m256i qb = _mm256_setzero_si256();
-    size_t iters = 0;
-    for (; i + 32 <= n && iters < kFlushIters; i += 32, ++iters) {
-      const __m256i av = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(a + i));
-      const __m256i bv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(b + i));
-      const __m256i alo =
-          _mm256_cvtepi8_epi16(_mm256_castsi256_si128(av));
-      const __m256i ahi =
-          _mm256_cvtepi8_epi16(_mm256_extracti128_si256(av, 1));
-      const __m256i blo =
-          _mm256_cvtepi8_epi16(_mm256_castsi256_si128(bv));
-      const __m256i bhi =
-          _mm256_cvtepi8_epi16(_mm256_extracti128_si256(bv, 1));
-      dot = _mm256_add_epi32(dot,
-                             _mm256_add_epi32(_mm256_madd_epi16(alo, blo),
-                                              _mm256_madd_epi16(ahi, bhi)));
-      sa = _mm256_add_epi32(sa,
-                            _mm256_add_epi32(_mm256_madd_epi16(alo, ones),
-                                             _mm256_madd_epi16(ahi, ones)));
-      sb = _mm256_add_epi32(sb,
-                            _mm256_add_epi32(_mm256_madd_epi16(blo, ones),
-                                             _mm256_madd_epi16(bhi, ones)));
-      qa = _mm256_add_epi32(qa,
-                            _mm256_add_epi32(_mm256_madd_epi16(alo, alo),
-                                             _mm256_madd_epi16(ahi, ahi)));
-      qb = _mm256_add_epi32(qb,
-                            _mm256_add_epi32(_mm256_madd_epi16(blo, blo),
-                                             _mm256_madd_epi16(bhi, bhi)));
-    }
-    m.dot += HSum32Avx2(dot);
-    m.sum_a += HSum32Avx2(sa);
-    m.sum_b += HSum32Avx2(sb);
-    m.sumsq_a += HSum32Avx2(qa);
-    m.sumsq_b += HSum32Avx2(qb);
-  }
-  detail::FinishDotQ8(&m, a, b, i, n);
-  return m;
-}
-
 void AxpyAvx2(float alpha, const float* x, float* y, size_t n) {
   const __m256 va = _mm256_set1_ps(alpha);
   size_t i = 0;
@@ -227,10 +164,10 @@ void LstmGatePreactBatchAvx2(const float* wx, const float* wh,
 
 namespace detail {
 const KernelTable kAvx2Table = {
-    DotAvx2,     SumSqAvx2,   DotQ8Avx2,    AxpyAvx2,
-    ScaleAvx2,   MatVecAvx2,  MatTVecAvx2,  AddOuterAvx2,
-    LstmGatePreactAvx2,       MatMulAvx2,   MatTVecBatchAvx2,
-    LstmGatePreactBatchAvx2,
+    DotAvx2,          SumSqAvx2,          AxpyAvx2,
+    ScaleAvx2,        MatVecAvx2,         MatTVecAvx2,
+    AddOuterAvx2,     LstmGatePreactAvx2, MatMulAvx2,
+    MatTVecBatchAvx2, LstmGatePreactBatchAvx2,
 };
 }  // namespace detail
 

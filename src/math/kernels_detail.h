@@ -17,8 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "math/kernels.h"  // Q8Moments
-
 namespace pae::math::kernels::detail {
 
 /// Fixed lane-combine tree: ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
@@ -209,28 +207,10 @@ inline void LstmGatePreactBatchImpl(const float* wx, const float* wh,
   }
 }
 
-/// Scalar tail for DotQ8: folds elements [i, n) into `m`. Integer sums
-/// are exact, so unlike the float kernels there is no lane discipline
-/// to respect — every tier finishing through this helper agrees with
-/// scalar automatically.
-inline void FinishDotQ8(Q8Moments* m, const int8_t* a, const int8_t* b,
-                        size_t i, size_t n) {
-  for (; i < n; ++i) {
-    const int32_t av = a[i];
-    const int32_t bv = b[i];
-    m->dot += av * bv;
-    m->sum_a += av;
-    m->sum_b += bv;
-    m->sumsq_a += av * av;
-    m->sumsq_b += bv * bv;
-  }
-}
-
 /// Function-pointer table one ISA tier exports.
 struct KernelTable {
   double (*dot)(const float*, const float*, size_t);
   double (*sumsq)(const float*, size_t);
-  Q8Moments (*dotq8)(const int8_t*, const int8_t*, size_t);
   void (*axpy)(float, const float*, float*, size_t);
   void (*scale)(float, float*, size_t);
   void (*matvec)(const float*, size_t, size_t, const float*, float*);

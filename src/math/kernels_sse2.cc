@@ -69,60 +69,6 @@ double SumSqSse2(const float* a, size_t n) {
   return detail::FinishSumSq(lanes, a, i, n);
 }
 
-/// Σ of the four epi32 lanes, widened to int64 (exact — order free).
-int64_t HSum32Sse2(__m128i v) {
-  alignas(16) int32_t lanes[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), v);
-  return static_cast<int64_t>(lanes[0]) + lanes[1] + lanes[2] + lanes[3];
-}
-
-Q8Moments DotQ8Sse2(const int8_t* a, const int8_t* b, size_t n) {
-  // 16 int8 per iteration: sign-extend via the unpack + arithmetic
-  // shift trick, then madd_epi16 pairs into epi32 partials. The epi32
-  // accumulators are flushed to int64 every kFlushIters iterations:
-  // per lane per iteration the worst case is 2·128·128 = 32768 twice
-  // (two madds added), so 8192 iterations stay well under INT32_MAX.
-  constexpr size_t kFlushIters = 8192;
-  Q8Moments m;
-  const __m128i ones = _mm_set1_epi16(1);
-  size_t i = 0;
-  while (i + 16 <= n) {
-    __m128i dot = _mm_setzero_si128();
-    __m128i sa = _mm_setzero_si128();
-    __m128i sb = _mm_setzero_si128();
-    __m128i qa = _mm_setzero_si128();
-    __m128i qb = _mm_setzero_si128();
-    size_t iters = 0;
-    for (; i + 16 <= n && iters < kFlushIters; i += 16, ++iters) {
-      const __m128i av = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(a + i));
-      const __m128i bv = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(b + i));
-      const __m128i alo = _mm_srai_epi16(_mm_unpacklo_epi8(av, av), 8);
-      const __m128i ahi = _mm_srai_epi16(_mm_unpackhi_epi8(av, av), 8);
-      const __m128i blo = _mm_srai_epi16(_mm_unpacklo_epi8(bv, bv), 8);
-      const __m128i bhi = _mm_srai_epi16(_mm_unpackhi_epi8(bv, bv), 8);
-      dot = _mm_add_epi32(dot, _mm_add_epi32(_mm_madd_epi16(alo, blo),
-                                             _mm_madd_epi16(ahi, bhi)));
-      sa = _mm_add_epi32(sa, _mm_add_epi32(_mm_madd_epi16(alo, ones),
-                                           _mm_madd_epi16(ahi, ones)));
-      sb = _mm_add_epi32(sb, _mm_add_epi32(_mm_madd_epi16(blo, ones),
-                                           _mm_madd_epi16(bhi, ones)));
-      qa = _mm_add_epi32(qa, _mm_add_epi32(_mm_madd_epi16(alo, alo),
-                                           _mm_madd_epi16(ahi, ahi)));
-      qb = _mm_add_epi32(qb, _mm_add_epi32(_mm_madd_epi16(blo, blo),
-                                           _mm_madd_epi16(bhi, bhi)));
-    }
-    m.dot += HSum32Sse2(dot);
-    m.sum_a += HSum32Sse2(sa);
-    m.sum_b += HSum32Sse2(sb);
-    m.sumsq_a += HSum32Sse2(qa);
-    m.sumsq_b += HSum32Sse2(qb);
-  }
-  detail::FinishDotQ8(&m, a, b, i, n);
-  return m;
-}
-
 void AxpySse2(float alpha, const float* x, float* y, size_t n) {
   const __m128 va = _mm_set1_ps(alpha);
   size_t i = 0;
@@ -234,10 +180,10 @@ void LstmGatePreactBatchSse2(const float* wx, const float* wh,
 
 namespace detail {
 const KernelTable kSse2Table = {
-    DotSse2,     SumSqSse2,   DotQ8Sse2,    AxpySse2,
-    ScaleSse2,   MatVecSse2,  MatTVecSse2,  AddOuterSse2,
-    LstmGatePreactSse2,       MatMulSse2,   MatTVecBatchSse2,
-    LstmGatePreactBatchSse2,
+    DotSse2,          SumSqSse2,          AxpySse2,
+    ScaleSse2,        MatVecSse2,         MatTVecSse2,
+    AddOuterSse2,     LstmGatePreactSse2, MatMulSse2,
+    MatTVecBatchSse2, LstmGatePreactBatchSse2,
 };
 }  // namespace detail
 

@@ -52,15 +52,6 @@ class Vocab {
   /// post-frequency-cut loops) skip the rehash storm entirely.
   void Reserve(size_t expected_words) { words_.Reserve(expected_words); }
 
-  /// Flat export for the zero-copy model artifact (see
-  /// FlatStringInterner::ExportPacked). A StringTableView over the
-  /// exported buffers resolves Lookup()-equivalent ids.
-  void ExportPacked(std::vector<util::PackedStringSlot>* slots,
-                    std::vector<util::PackedStringKey>* keys,
-                    std::string* arena) const {
-    words_.ExportPacked(slots, keys, arena);
-  }
-
  private:
   util::FlatStringInterner words_;
 };

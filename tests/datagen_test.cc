@@ -11,6 +11,7 @@
 #include "datagen/schema.h"
 #include "datagen/word_factory.h"
 #include "html/parser.h"
+#include "support/oracle.h"
 #include "text/char_class.h"
 #include "text/utf8.h"
 #include "util/rng.h"
@@ -195,7 +196,7 @@ TEST(GeneratorTest, TableFractionRoughlyHonored) {
     size_t n = 0;
     for (const auto& page : cat.corpus.pages) {
       auto dom = html::ParseHtml(page.html);
-      if (!html::ExtractDictionaryTables(*dom).empty()) ++n;
+      if (!oracle::ExtractDictionaryTables(*dom).empty()) ++n;
     }
     return n;
   };

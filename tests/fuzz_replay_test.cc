@@ -85,7 +85,7 @@ TEST(FuzzReplayTest, SeedArtifactsActuallyOpen) {
     EXPECT_TRUE(artifact.ok()) << file << ": " << artifact.status().ToString();
     ++opened;
   }
-  EXPECT_EQ(opened, 3);
+  EXPECT_EQ(opened, 1);
 }
 
 // ---------------- the overflow regression entry ----------------

@@ -2,9 +2,16 @@
 
 #include "html/parser.h"
 #include "html/table_extractor.h"
+#include "support/oracle.h"
 
 namespace pae::html {
 namespace {
+
+// The DOM table extraction is the streaming scanner's reference oracle
+// and lives in tests/support; these cases pin its behaviour.
+using oracle::ExtractDictionaryTables;
+using oracle::ExtractGrid;
+using oracle::FindAll;
 
 TEST(EntityTest, BasicNamedEntities) {
   EXPECT_EQ(DecodeEntities("a &amp; b &lt;x&gt; &quot;q&quot; &nbsp;"),

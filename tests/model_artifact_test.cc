@@ -1,8 +1,8 @@
 // The `.paez` zero-copy model artifact: pack/open round-trips,
 // byte-identical inference between the trained in-memory tagger and
 // the mmap'ed load (at 1 and 8 threads and on the scalar kernel tier),
-// the zero-copy claim proven through the model.load.bytes_copied
-// counter, and the f32/int8 packed embedding views.
+// and the zero-copy claim proven through the model.load.bytes_copied
+// counter.
 
 #include <gtest/gtest.h>
 
@@ -19,11 +19,9 @@
 #include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
-#include "embed/word2vec.h"
 #include "math/kernels.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/rng.h"
 
 namespace pae {
 namespace {
@@ -73,9 +71,7 @@ const TrainedFixture& Fixture() {
     PAE_CHECK(f->tagger != nullptr);
 
     f->paez_path = TempPath("fixture.paez");
-    PAE_CHECK(core::PackModelArtifact(*f->tagger, nullptr,
-                                      core::PackOptions(), f->paez_path)
-                  .ok());
+    PAE_CHECK(core::PackModelArtifact(*f->tagger, f->paez_path).ok());
     return f;
   }();
   return *fixture;
@@ -100,15 +96,14 @@ TEST(ModelArtifactTest, OpenWithChecksumVerificationSucceeds) {
   auto artifact = core::ModelArtifact::Open(Fixture().paez_path, options);
   ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
   const core::ModelArtifact& a = *artifact.value();
-  EXPECT_TRUE(a.has_crf());
-  EXPECT_FALSE(a.has_embeddings());
+  EXPECT_EQ(a.header().flags, core::kPaezFlagCrf);
   const crf::CrfModel& model = Fixture().tagger->model();
   EXPECT_EQ(a.crf_meta().num_labels, model.num_labels());
   EXPECT_EQ(a.crf_meta().num_features, model.num_features());
   EXPECT_EQ(a.crf_meta().weight_count,
             Fixture().tagger->weights_span().size());
-  // Weight and vector blocks are page-aligned so the kernels see the
-  // same alignment mmap grants a fresh allocation.
+  // The weight block is page-aligned so the kernels see the same
+  // alignment mmap grants a fresh allocation.
   for (const core::PaezSection& s : a.sections()) {
     if (s.kind == core::kCrfWeights) {
       EXPECT_EQ(s.offset % 4096, 0u);
@@ -119,8 +114,8 @@ TEST(ModelArtifactTest, OpenWithChecksumVerificationSucceeds) {
 TEST(ModelArtifactTest, PackingAPackedTaggerIsRefused) {
   crf::CrfTagger packed = LoadPackedFixture();
   EXPECT_TRUE(packed.packed());
-  const Status status = core::PackModelArtifact(
-      packed, nullptr, core::PackOptions(), TempPath("repack.paez"));
+  const Status status =
+      core::PackModelArtifact(packed, TempPath("repack.paez"));
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
@@ -129,9 +124,7 @@ TEST(ModelArtifactTest, RepackingALiveArtifactLeavesItsMappingReadable) {
   // over the same path must not truncate the mapped file: a reader of
   // the old mapping would take SIGBUS past the new end of file.
   const std::string path = TempPath("live.paez");
-  ASSERT_TRUE(core::PackModelArtifact(*Fixture().tagger, nullptr,
-                                      core::PackOptions(), path)
-                  .ok());
+  ASSERT_TRUE(core::PackModelArtifact(*Fixture().tagger, path).ok());
   auto live = core::ModelArtifact::Open(path);
   ASSERT_TRUE(live.ok()) << live.status().ToString();
 
@@ -141,8 +134,7 @@ TEST(ModelArtifactTest, RepackingALiveArtifactLeavesItsMappingReadable) {
   seq.pos = {"NOUN", "PRT", "NOUN"};
   seq.labels = {text::kOutsideLabel, text::kOutsideLabel, "B-色"};
   ASSERT_TRUE(tiny.Train({seq}).ok());
-  ASSERT_TRUE(
-      core::PackModelArtifact(tiny, nullptr, core::PackOptions(), path).ok());
+  ASSERT_TRUE(core::PackModelArtifact(tiny, path).ok());
   auto replaced = core::ModelArtifact::Open(path);
   ASSERT_TRUE(replaced.ok()) << replaced.status().ToString();
   ASSERT_LT(replaced.value()->file_bytes(), live.value()->file_bytes());
@@ -232,132 +224,6 @@ TEST(ModelArtifactTest, PackedLoadCopiesOnlyLabelBytes) {
   // weights stay in the mapping. "Zero model-sized allocations" as a
   // counter.
   EXPECT_EQ(copied->value() - before, label_bytes);
-}
-
-// ---------------- packed embeddings ----------------
-
-embed::Word2Vec TrainTinyEmbeddings() {
-  embed::Word2VecOptions options;
-  options.dim = 24;
-  options.epochs = 6;
-  options.min_count = 1;
-  embed::Word2Vec model(options);
-  std::vector<std::vector<std::string>> corpus;
-  Rng rng(11);
-  for (int i = 0; i < 300; ++i) {
-    corpus.push_back({"red", rng.Bernoulli(0.5) ? "blue" : "green",
-                      "heavy", rng.Bernoulli(0.3) ? "light" : "solid",
-                      "red"});
-  }
-  PAE_CHECK(model.Train(corpus).ok());
-  return model;
-}
-
-TEST(ModelArtifactTest, PackedF32EmbeddingsMatchWord2VecExactly) {
-  embed::Word2Vec model = TrainTinyEmbeddings();
-  const std::string path = TempPath("embed_f32.paez");
-  ASSERT_TRUE(core::PackModelArtifact(*Fixture().tagger, &model,
-                                      core::PackOptions(), path)
-                  .ok());
-  core::ModelArtifact::OpenOptions verify;
-  verify.verify_checksums = true;
-  auto artifact = core::ModelArtifact::Open(path, verify);
-  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-  auto packed = core::MakePackedEmbeddings(artifact.value());
-  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  EXPECT_FALSE(packed.value().quantized());
-  EXPECT_EQ(packed.value().dim(), model.dim());
-
-  const std::vector<std::string> words = {"red", "blue", "green", "heavy",
-                                          "light", "solid"};
-  for (const auto& a : words) {
-    EXPECT_EQ(packed.value().Contains(a), model.Contains(a));
-    for (const auto& b : words) {
-      EXPECT_DOUBLE_EQ(packed.value().Similarity(a, b),
-                       model.Similarity(a, b));
-    }
-  }
-  EXPECT_FALSE(packed.value().Contains("zzz"));
-  std::remove(path.c_str());
-}
-
-TEST(ModelArtifactTest, PackedInt8EmbeddingsTrackQuantizedModel) {
-  embed::Word2Vec model = TrainTinyEmbeddings();
-  const std::string path = TempPath("embed_i8.paez");
-  core::PackOptions options;
-  options.quantize_embeddings = true;
-  ASSERT_TRUE(
-      core::PackModelArtifact(*Fixture().tagger, &model, options, path)
-          .ok());
-  auto artifact = core::ModelArtifact::Open(path);
-  ASSERT_TRUE(artifact.ok()) << artifact.status().ToString();
-  ASSERT_TRUE(artifact.value()->embeddings_quantized());
-  auto packed = core::MakePackedEmbeddings(artifact.value());
-  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  EXPECT_TRUE(packed.value().quantized());
-
-  // The reference: the same vectors round-tripped through int8 in the
-  // float domain. The integer-moment path rounds once instead of per
-  // element, so agreement is to float rounding, not bitwise.
-  model.QuantizeInPlace();
-  const std::vector<std::string> words = {"red", "blue", "green", "heavy",
-                                          "light", "solid"};
-  for (const auto& a : words) {
-    for (const auto& b : words) {
-      EXPECT_NEAR(packed.value().Similarity(a, b), model.Similarity(a, b),
-                  1e-5)
-          << a << " ~ " << b;
-    }
-  }
-
-  // CopyRow dequantizes to exactly the round-tripped vectors.
-  std::vector<float> row(packed.value().dim());
-  ASSERT_TRUE(packed.value().CopyRow("red", row.data()));
-  const float* reference = model.Vector("red");
-  ASSERT_NE(reference, nullptr);
-  for (size_t i = 0; i < row.size(); ++i) EXPECT_EQ(row[i], reference[i]);
-  std::remove(path.c_str());
-}
-
-TEST(ModelArtifactTest, Int8SimilarityBitIdenticalAcrossKernelTiers) {
-  embed::Word2Vec model = TrainTinyEmbeddings();
-  const std::string path = TempPath("embed_isa.paez");
-  core::PackOptions options;
-  options.quantize_embeddings = true;
-  ASSERT_TRUE(
-      core::PackModelArtifact(*Fixture().tagger, &model, options, path)
-          .ok());
-  auto artifact = core::ModelArtifact::Open(path);
-  ASSERT_TRUE(artifact.ok());
-  auto packed = core::MakePackedEmbeddings(artifact.value());
-  ASSERT_TRUE(packed.ok());
-
-  const std::vector<std::string> words = {"red", "blue", "green", "heavy",
-                                          "light", "solid"};
-  std::vector<double> reference;
-  {
-    ScopedIsa scalar(math::kernels::Isa::kScalar);
-    for (const auto& a : words) {
-      for (const auto& b : words) {
-        reference.push_back(packed.value().Similarity(a, b));
-      }
-    }
-  }
-  for (const math::kernels::Isa isa :
-       {math::kernels::Isa::kSse2, math::kernels::Isa::kAvx2}) {
-    if (!math::kernels::IsaSupported(isa)) continue;
-    ScopedIsa scoped(isa);
-    size_t k = 0;
-    for (const auto& a : words) {
-      for (const auto& b : words) {
-        // Exact integer moments → one shared rounding site → bitwise
-        // equality across tiers, the same discipline as the f64 kernels.
-        EXPECT_EQ(packed.value().Similarity(a, b), reference[k++])
-            << a << " ~ " << b;
-      }
-    }
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

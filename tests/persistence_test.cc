@@ -1,6 +1,6 @@
-// Serialization: BinaryWriter/Reader primitives, model Save/Load
-// round-trips (BiLSTM, word2vec), the CRF `.paez` artifact's rejection
-// of corrupt files, and the on-disk corpus layout.
+// Serialization: BinaryWriter/Reader primitives, the BiLSTM Save/Load
+// round-trip, the CRF `.paez` artifact's rejection of corrupt files,
+// and the on-disk corpus layout.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
-#include "embed/word2vec.h"
 #include "lstm/bilstm_tagger.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -270,8 +269,7 @@ std::vector<text::LabeledSequence> TinyTrainingData() {
 
 TEST(PersistenceTest, CrfSaveUntrainedFails) {
   crf::CrfTagger untrained;
-  EXPECT_EQ(core::PackModelArtifact(untrained, nullptr, core::PackOptions(),
-                                    TempPath("untrained.paez"))
+  EXPECT_EQ(core::PackModelArtifact(untrained, TempPath("untrained.paez"))
                 .code(),
             StatusCode::kFailedPrecondition);
 }
@@ -283,9 +281,7 @@ TEST(PersistenceTest, CrfPackIntoMissingDirectoryFails) {
   ASSERT_TRUE(tagger.Train(TinyTrainingData()).ok());
   const std::string dir = TempPath("no_such_dir");
   fs::remove_all(dir);
-  EXPECT_FALSE(core::PackModelArtifact(tagger, nullptr, core::PackOptions(),
-                                       dir + "/model.paez")
-                   .ok());
+  EXPECT_FALSE(core::PackModelArtifact(tagger, dir + "/model.paez").ok());
   EXPECT_FALSE(fs::exists(dir));
 }
 
@@ -352,9 +348,7 @@ const std::string& PackedArtifactPath() {
     crf::CrfTagger tagger(options);
     PAE_CHECK(tagger.Train(TinyTrainingData()).ok());
     auto* p = new std::string(TempPath("artifact_base.paez"));
-    PAE_CHECK(
-        core::PackModelArtifact(tagger, nullptr, core::PackOptions(), *p)
-            .ok());
+    PAE_CHECK(core::PackModelArtifact(tagger, *p).ok());
     return p;
   }();
   return *path;
@@ -465,15 +459,43 @@ TEST(PaezCorruptionTest, OverlappingSectionsRejected) {
   std::remove(path.c_str());
 }
 
-TEST(PaezCorruptionTest, ReservedSectionKindRejected) {
-  const std::string path = CopyArtifact("reserved_kind.paez");
-  PatchArtifactTable(path, [](core::PaezHeader*, core::PaezSection* table) {
-    table[4].kind = core::kLstmParams;  // reserved for v2
-  });
-  auto artifact = core::ModelArtifact::Open(path);
-  ASSERT_FALSE(artifact.ok());
-  EXPECT_EQ(artifact.status().code(), StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
+TEST(PaezCorruptionTest, RetiredSectionKindsRejected) {
+  // 7 and 13 bound the retired embedding kinds, 14 was the reserved
+  // BiLSTM block, and 15 is the first kind no v1 file has ever held.
+  for (const uint32_t kind : {7u, 13u, 14u, 15u}) {
+    const std::string path = CopyArtifact("retired_kind.paez");
+    PatchArtifactTable(path,
+                       [kind](core::PaezHeader*, core::PaezSection* table) {
+                         table[4].kind = kind;
+                       });
+    auto artifact = core::ModelArtifact::Open(path);
+    ASSERT_FALSE(artifact.ok()) << "opened a file with section kind " << kind;
+    EXPECT_EQ(artifact.status().code(), StatusCode::kInvalidArgument)
+        << "kind " << kind;
+    // Refused for the kind itself, not for the CRF section it replaced.
+    EXPECT_NE(artifact.status().ToString().find("unknown section kind"),
+              std::string::npos)
+        << artifact.status().ToString();
+    std::remove(path.c_str());
+  }
+}
+
+TEST(PaezCorruptionTest, HeaderFlagsOtherThanCrfRejected) {
+  // 0 is an artifact without a CRF; 1|2 is the old CRF + f32-embedding
+  // header. A `.paez` holds a CRF and nothing else.
+  for (const uint64_t flags :
+       {uint64_t{0}, core::kPaezFlagCrf | uint64_t{1} << 1}) {
+    const std::string path = CopyArtifact("bad_flags.paez");
+    PatchArtifactTable(path,
+                       [flags](core::PaezHeader* header, core::PaezSection*) {
+                         header->flags = flags;
+                       });
+    auto artifact = core::ModelArtifact::Open(path);
+    ASSERT_FALSE(artifact.ok()) << "opened a file with flags " << flags;
+    EXPECT_EQ(artifact.status().code(), StatusCode::kInvalidArgument)
+        << "flags " << flags;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(PaezCorruptionTest, TableChecksumAlwaysVerified) {
@@ -549,31 +571,6 @@ TEST(PersistenceTest, BiLstmSaveLoadPredictsIdentically) {
   probe.tokens = {"重量", "は", "3", "kg", "です"};
   probe.pos = {"NN", "PRT", "NUM", "UNIT", "VB"};
   EXPECT_EQ(restored.Predict(probe), original.Predict(probe));
-  std::remove(path.c_str());
-}
-
-TEST(PersistenceTest, Word2VecSaveLoadKeepsSimilarities) {
-  embed::Word2VecOptions options;
-  options.dim = 16;
-  options.epochs = 4;
-  options.min_count = 1;
-  embed::Word2Vec original(options);
-  std::vector<std::vector<std::string>> corpus;
-  Rng rng(4);
-  for (int i = 0; i < 200; ++i) {
-    corpus.push_back({"a", "b", rng.Bernoulli(0.5) ? "c" : "d", "e"});
-  }
-  ASSERT_TRUE(original.Train(corpus).ok());
-  const std::string path = TempPath("model.w2v");
-  ASSERT_TRUE(original.Save(path).ok());
-
-  embed::Word2Vec restored;
-  ASSERT_TRUE(restored.Load(path).ok());
-  EXPECT_EQ(restored.dim(), original.dim());
-  EXPECT_DOUBLE_EQ(restored.Similarity("a", "b"),
-                   original.Similarity("a", "b"));
-  EXPECT_TRUE(restored.Contains("c"));
-  EXPECT_FALSE(restored.Contains("zzz"));
   std::remove(path.c_str());
 }
 

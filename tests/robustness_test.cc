@@ -16,7 +16,7 @@
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "html/parser.h"
-#include "html/table_extractor.h"
+#include "support/oracle.h"
 #include "text/sentence.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
@@ -41,7 +41,7 @@ TEST_P(HtmlFuzzTest, RandomBytesNeverCrashParser) {
   ASSERT_NE(dom, nullptr);
   // Downstream consumers must also survive.
   std::string text = html::ExtractText(*dom);
-  auto tables = html::ExtractDictionaryTables(*dom);
+  auto tables = oracle::ExtractDictionaryTables(*dom);
   auto sentences = text::SplitSentences(text);
   text::CjkTokenizer tokenizer({});
   for (const auto& sentence : sentences) tokenizer.Tokenize(sentence);
@@ -75,7 +75,7 @@ TEST(HtmlFuzzTest, MutatedRealPagesNeverCrash) {
     auto dom = html::ParseHtml(mutated);
     ASSERT_NE(dom, nullptr);
     html::ExtractText(*dom);
-    html::ExtractDictionaryTables(*dom);
+    oracle::ExtractDictionaryTables(*dom);
   }
 }
 
@@ -124,9 +124,7 @@ TEST(CorruptModelTest, BitFlippedModelDoesNotCrash) {
   ASSERT_TRUE(tagger.Train(data).ok());
   const std::string path =
       (fs::temp_directory_path() / "pae_bitflip.paez").string();
-  ASSERT_TRUE(
-      core::PackModelArtifact(tagger, nullptr, core::PackOptions(), path)
-          .ok());
+  ASSERT_TRUE(core::PackModelArtifact(tagger, path).ok());
 
   // Flip bytes anywhere past the magic and load the way the serving
   // path does: payload checksums off, so a flip inside a section reaches

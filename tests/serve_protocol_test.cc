@@ -416,6 +416,23 @@ TEST_F(ProtocolServerTest, PublishOfMissingModelFailsWithoutSwap) {
   ASSERT_TRUE(ping.ok());
   EXPECT_EQ(ping.value().generation, 1u);
   EXPECT_EQ(server_->stats().hot_swaps, 0u);
+
+  // A CRF artifact whose table carries retired section kind 7, with
+  // every checksum valid, is refused with a typed error, and
+  // generation 1 serves on.
+  generation = client.value().Publish(
+      std::string(PAE_FUZZ_CORPUS_DIR) + "/paez/malformed-retired-kind.bin",
+      "/nonexistent");
+  ASSERT_FALSE(generation.ok());
+  EXPECT_EQ(generation.status().code(), StatusCode::kInvalidArgument)
+      << generation.status().ToString();
+  EXPECT_NE(generation.status().ToString().find("unknown section kind"),
+            std::string::npos)
+      << generation.status().ToString();
+  EXPECT_EQ(server_->stats().hot_swaps, 0u);
+  auto response = client.value().Extract("after-refused-publish", kPageHtml);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().generation, 1u);
 }
 
 }  // namespace

@@ -259,9 +259,7 @@ TEST(GenerationCellTest, HotSwapHammerPackedArtifact) {
       PAE_CHECK(trained.Train(data).ok());
       const std::string paez_path = TestSocketPath(
           "hammer_model" + std::to_string(g) + ".paez");  // temp-dir helper
-      PAE_CHECK(core::PackModelArtifact(trained, nullptr,
-                                        core::PackOptions(), paez_path)
-                    .ok());
+      PAE_CHECK(core::PackModelArtifact(trained, paez_path).ok());
       auto loaded = core::LoadCrfModel(paez_path);
       PAE_CHECK(loaded.ok()) << loaded.status().ToString();
       PAE_CHECK(loaded.value().tagger->packed());
@@ -566,9 +564,7 @@ TEST(ExtractionEngineTest, RealCrfEngineMatchesBatchApply) {
       std::filesystem::path(::testing::TempDir()) / "serve_crf_engine";
   std::filesystem::create_directories(dir);
   const std::string model_path = (dir / "model.paez").string();
-  ASSERT_TRUE(core::PackModelArtifact(*crf_tagger, nullptr,
-                                      core::PackOptions(), model_path)
-                  .ok());
+  ASSERT_TRUE(core::PackModelArtifact(*crf_tagger, model_path).ok());
   ASSERT_TRUE(core::SaveCorpus(crawl.corpus, dir.string()).ok());
 
   core::EngineOptions engine_options;

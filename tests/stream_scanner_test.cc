@@ -1,8 +1,8 @@
 // Equivalence proofs for the two fused streaming-ingestion components:
 //
 //   * html::StreamScanner must produce byte-identical visible text and
-//     equal dictionary tables to the DOM path
-//     (ParseHtml → ExtractText / ExtractDictionaryTables), including on
+//     equal dictionary tables to the DOM path (ParseHtml → ExtractText /
+//     oracle::ExtractDictionaryTables in tests/support), including on
 //     malformed tag soup — the scanner replicates ParseHtml's tolerant
 //     recovery, not an idealized HTML grammar.
 //   * text::FusedSegmenter must produce exactly the LabeledSequences of
@@ -43,7 +43,7 @@ void ExpectScannerMatchesDom(const std::string& html_src) {
   EXPECT_EQ(scanner.text(), html::ExtractText(*dom)) << "html: " << html_src;
 
   const std::vector<html::DictionaryTable> dom_tables =
-      html::ExtractDictionaryTables(*dom);
+      oracle::ExtractDictionaryTables(*dom);
   ASSERT_EQ(scanner.tables().size(), dom_tables.size())
       << "html: " << html_src;
   for (size_t i = 0; i < dom_tables.size(); ++i) {
@@ -132,7 +132,7 @@ TEST(StreamScannerTest, ScannerStateResetsBetweenPages) {
     scanner.Scan(page);
     const std::unique_ptr<html::HtmlNode> dom = html::ParseHtml(page);
     EXPECT_EQ(scanner.text(), html::ExtractText(*dom));
-    const auto dom_tables = html::ExtractDictionaryTables(*dom);
+    const auto dom_tables = oracle::ExtractDictionaryTables(*dom);
     ASSERT_EQ(scanner.tables().size(), dom_tables.size());
     for (size_t i = 0; i < dom_tables.size(); ++i) {
       EXPECT_EQ(scanner.tables()[i].entries, dom_tables[i].entries);
@@ -149,7 +149,7 @@ TEST(StreamScannerTest, RandomizedSoupDifferential) {
     scanner.Scan(html_src);
     const std::unique_ptr<html::HtmlNode> dom = html::ParseHtml(html_src);
     ASSERT_EQ(scanner.text(), html::ExtractText(*dom));
-    const auto dom_tables = html::ExtractDictionaryTables(*dom);
+    const auto dom_tables = oracle::ExtractDictionaryTables(*dom);
     ASSERT_EQ(scanner.tables().size(), dom_tables.size());
     for (size_t i = 0; i < dom_tables.size(); ++i) {
       ASSERT_EQ(scanner.tables()[i].entries, dom_tables[i].entries);

@@ -2,12 +2,53 @@
 
 #include <memory>
 
-#include "html/parser.h"
-#include "html/table_extractor.h"
 #include "text/sentence.h"
 #include "util/thread_pool.h"
 
 namespace pae::oracle {
+
+namespace {
+void FindAllRec(const html::HtmlNode& node, std::string_view tag,
+                std::vector<const html::HtmlNode*>* out) {
+  if (node.type == html::HtmlNode::Type::kElement && node.tag == tag) {
+    out->push_back(&node);
+  }
+  for (const auto& child : node.children) FindAllRec(*child, tag, out);
+}
+}  // namespace
+
+std::vector<const html::HtmlNode*> FindAll(const html::HtmlNode& node,
+                                           std::string_view tag) {
+  std::vector<const html::HtmlNode*> out;
+  FindAllRec(node, tag, &out);
+  return out;
+}
+
+html::TableGrid ExtractGrid(const html::HtmlNode& table) {
+  html::TableGrid grid;
+  for (const html::HtmlNode* tr : FindAll(table, "tr")) {
+    std::vector<std::string> row;
+    for (const auto& child : tr->children) {
+      if (child->IsElement("td") || child->IsElement("th")) {
+        row.push_back(html::CollapseCellText(html::ExtractText(*child)));
+      }
+    }
+    if (!row.empty()) grid.push_back(std::move(row));
+  }
+  return grid;
+}
+
+std::vector<html::DictionaryTable> ExtractDictionaryTables(
+    const html::HtmlNode& root) {
+  std::vector<html::DictionaryTable> out;
+  for (const html::HtmlNode* table : FindAll(root, "table")) {
+    html::DictionaryTable dict;
+    if (html::GridToDictionary(ExtractGrid(*table), &dict)) {
+      out.push_back(std::move(dict));
+    }
+  }
+  return out;
+}
 
 std::vector<text::LabeledSequence> SegmentText(
     std::string_view text, const text::Tokenizer& tokenizer,
@@ -52,7 +93,7 @@ core::ProcessedCorpus ProcessCorpus(const core::Corpus& corpus, int threads) {
     core::ProcessedPage& processed = out.pages[p];
     processed.product_id = page.product_id;
     const std::unique_ptr<html::HtmlNode> dom = html::ParseHtml(page.html);
-    processed.tables = html::ExtractDictionaryTables(*dom);
+    processed.tables = ExtractDictionaryTables(*dom);
     processed.sentences =
         SegmentText(html::ExtractText(*dom), *out.tokenizer, *out.pos_tagger);
   });

@@ -11,12 +11,29 @@
 
 #include "core/document.h"
 #include "core/types.h"
+#include "html/parser.h"
+#include "html/table_extractor.h"
 #include "text/labeled_sequence.h"
 #include "text/pos_tagger.h"
 #include "text/tokenizer.h"
 #include "util/rng.h"
 
 namespace pae::oracle {
+
+/// Every descendant element of `node` (itself included) with the given
+/// lowercase tag name, in document order.
+std::vector<const html::HtmlNode*> FindAll(const html::HtmlNode& node,
+                                           std::string_view tag);
+
+/// The cell grid of one DOM <table>: for every descendant <tr>, the
+/// texts of its direct <td>/<th> children (CollapseCellText'ed);
+/// cell-less rows are dropped.
+html::TableGrid ExtractGrid(const html::HtmlNode& table);
+
+/// The DOM table front end that html::StreamScanner's tables() replaces:
+/// every <table> in the document whose grid GridToDictionary accepts.
+std::vector<html::DictionaryTable> ExtractDictionaryTables(
+    const html::HtmlNode& root);
 
 /// The modular text front end that text::FusedSegmenter replaces:
 ///   for s in SplitSentences(text): tokens = Tokenize(s);

@@ -27,14 +27,6 @@ const char* SectionKindName(uint32_t kind) {
     case pae::core::kCrfFeatureKeys: return "crf-feature-keys";
     case pae::core::kCrfFeatureArena: return "crf-feature-arena";
     case pae::core::kCrfWeights: return "crf-weights";
-    case pae::core::kEmbedMeta: return "embed-meta";
-    case pae::core::kEmbedVocabSlots: return "embed-vocab-slots";
-    case pae::core::kEmbedVocabKeys: return "embed-vocab-keys";
-    case pae::core::kEmbedVocabArena: return "embed-vocab-arena";
-    case pae::core::kEmbedVectorsF32: return "embed-vectors-f32";
-    case pae::core::kEmbedVectorsI8: return "embed-vectors-i8";
-    case pae::core::kEmbedQuantParams: return "embed-quant-params";
-    case pae::core::kLstmParams: return "lstm-params";
     default: return "?";
   }
 }
@@ -51,18 +43,9 @@ int Verify(const std::string& path, bool print_table) {
   const pae::core::ModelArtifact& a = *artifact.value();
   std::cout << path << ": paez v" << a.header().version << ", "
             << a.file_bytes() << " bytes, " << a.sections().size()
-            << " sections";
-  if (a.has_crf()) {
-    std::cout << ", crf " << a.crf_meta().num_labels << " labels / "
-              << a.crf_meta().num_features << " features / "
-              << a.crf_meta().weight_count << " weights";
-  }
-  if (a.has_embeddings()) {
-    std::cout << ", embed " << a.embed_meta().vocab_count << " x "
-              << a.embed_meta().dim
-              << (a.embeddings_quantized() ? " int8" : " f32");
-  }
-  std::cout << "\n";
+            << " sections, crf " << a.crf_meta().num_labels << " labels / "
+            << a.crf_meta().num_features << " features / "
+            << a.crf_meta().weight_count << " weights\n";
   if (print_table) {
     for (const pae::core::PaezSection& s : a.sections()) {
       std::cout << "  " << SectionKindName(s.kind) << " offset=" << s.offset
