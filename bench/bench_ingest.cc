@@ -1,11 +1,10 @@
 // Ingestion benchmark behind scripts/bench_ingest.sh: the barrier
 // pipeline (LoadCorpus materializes every page, then the reference
 // oracle::ProcessCorpus from tests/support parses them, then
-// DiscoverCandidates re-walks the tables, then a serial vocab fold
-// re-walks the tokens) vs the single-pass streaming pipeline
-// (core/ingest.h: one read into a reused buffer, parse + tokenize +
-// tag + harvest + intern per page while it is cache-hot, one serial
-// canonicalization fold at the end).
+// DiscoverCandidates re-walks the tables) vs the streaming pipeline
+// (core/ingest.h: one read into a reused buffer, scan + split +
+// tokenize + tag per page while it is cache-hot, then the same serial
+// DiscoverCandidates walk).
 //
 //   bench_ingest --dir CORPUS [--products N] [--seed S] [--reps R]
 //                [--threads "1,4,8"] [--json OUT | -]
@@ -14,11 +13,10 @@
 // camera schema at --products scale, so the corpus working set can be
 // pushed past the LLC from the command line. Both arms read the same
 // directory; FNV-1a checksums over the full ProcessedCorpus /
-// CandidateSet / Vocab contents are computed per arm and thread count
-// and PAE_CHECKed identical — a timing win that changes a byte is a
-// bug, not a win. Also measures interner throughput (FlatStringInterner
-// vs ConcurrentStringInterner, serial and under ParallelFor
-// contention) and the FlatStringInterner::Reserve effect that the
+// CandidateSet contents are computed per arm and thread count and
+// PAE_CHECKed identical — a timing win that changes a byte is a bug,
+// not a win. Also measures FlatStringInterner throughput and the
+// FlatStringInterner::Reserve effect that the
 // Vocab/CompiledCorpus/CrfModel call sites rely on.
 //
 // All non-timing fields are deterministic for a fixed corpus + seed.
@@ -39,14 +37,11 @@
 #include "core/preprocess.h"
 #include "datagen/generator.h"
 #include "support/oracle.h"
-#include "text/vocab.h"
 #include "tools/args.h"
-#include "util/concurrent_interner.h"
 #include "util/interner.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -90,7 +85,6 @@ struct Fnv {
 struct IngestChecksums {
   uint64_t corpus = 0;
   uint64_t candidates = 0;
-  uint64_t vocab = 0;
   bool operator==(const IngestChecksums&) const = default;
 };
 
@@ -127,31 +121,16 @@ uint64_t Checksum(const pae::core::CandidateSet& candidates) {
   return fnv.h;
 }
 
-uint64_t Checksum(const pae::text::Vocab& vocab) {
-  Fnv fnv;
-  for (size_t id = 0; id < vocab.size(); ++id) {
-    fnv.Add(vocab.Word(static_cast<int32_t>(id)));
-  }
-  return fnv.h;
-}
-
 /// The barrier pipeline, phase by phase: full-corpus load, parse,
-/// candidate re-walk, serial token fold. Returns the checksums so the
-/// caller can demand byte-equality with the streaming arm.
+/// candidate re-walk. Returns the checksums so the caller can demand
+/// byte-equality with the streaming arm.
 IngestChecksums RunBarrier(const std::string& dir, int threads) {
   auto loaded = pae::core::LoadCorpus(dir);
   PAE_CHECK(loaded.ok()) << loaded.status().ToString();
   const pae::core::ProcessedCorpus corpus =
       pae::oracle::ProcessCorpus(loaded.value(), threads);
-  const pae::core::CandidateSet candidates =
-      pae::core::DiscoverCandidates(corpus);
-  pae::text::Vocab vocab;
-  for (const pae::core::ProcessedPage& page : corpus.pages) {
-    for (const auto& sentence : page.sentences) {
-      for (const std::string& token : sentence.tokens) vocab.GetOrAdd(token);
-    }
-  }
-  return {Checksum(corpus), Checksum(candidates), Checksum(vocab)};
+  return {Checksum(corpus),
+          Checksum(pae::core::DiscoverCandidates(corpus))};
 }
 
 IngestChecksums RunStreaming(const std::string& dir, int threads) {
@@ -160,8 +139,7 @@ IngestChecksums RunStreaming(const std::string& dir, int threads) {
   auto ingested = pae::core::IngestCorpusDir(dir, options);
   PAE_CHECK(ingested.ok()) << ingested.status().ToString();
   return {Checksum(ingested.value().corpus),
-          Checksum(ingested.value().candidates),
-          Checksum(ingested.value().token_vocab)};
+          Checksum(ingested.value().candidates)};
 }
 
 std::vector<std::string> MakeKeyUniverse(size_t distinct) {
@@ -226,10 +204,9 @@ int main(int argc, char** argv) {
   const size_t pages = reader.value().page_count();
   const uint64_t page_bytes = reader.value().total_page_bytes();
 
-  // --- barrier phase profile (single-threaded): where the four-phase
+  // --- barrier phase profile (single-threaded): where the three-phase
   // pipeline spends its time, so arm-level deltas are attributable ---
-  double load_seconds = 0, parse_seconds = 0, discover_seconds = 0,
-         vocab_seconds = 0;
+  double load_seconds = 0, parse_seconds = 0, discover_seconds = 0;
   {
     pae::core::Corpus raw;
     const double total_load = MinSeconds(reps, [&] {
@@ -245,20 +222,9 @@ int main(int argc, char** argv) {
     const double total_discover = MinSeconds(reps, [&] {
       candidates = pae::core::DiscoverCandidates(processed);
     });
-    const double total_vocab = MinSeconds(reps, [&] {
-      pae::text::Vocab vocab;
-      for (const pae::core::ProcessedPage& page : processed.pages) {
-        for (const auto& sentence : page.sentences) {
-          for (const std::string& token : sentence.tokens) {
-            vocab.GetOrAdd(token);
-          }
-        }
-      }
-    });
     load_seconds = total_load;
     parse_seconds = total_parse;
     discover_seconds = total_discover;
-    vocab_seconds = total_vocab;
   }
 
   // --- barrier vs streaming, per thread count ---
@@ -317,7 +283,8 @@ int main(int argc, char** argv) {
               << " ms, speedup " << speedup << "x\n";
   }
 
-  // --- interner throughput: 1M mixed-hit interns over 200k keys ---
+  // --- FlatStringInterner throughput: 1M mixed-hit interns over 200k
+  // keys ---
   const std::vector<std::string> keys = MakeKeyUniverse(200'000);
   constexpr int kInternOps = 1'000'000;
   const double flat_seconds = MinSeconds(3, [&] {
@@ -327,25 +294,6 @@ int main(int argc, char** argv) {
     for (int i = 0; i < kInternOps; ++i) {
       interner.Intern(keys[rng.NextBounded(keys.size())]);
     }
-  });
-  const double concurrent_serial_seconds = MinSeconds(3, [&] {
-    pae::util::ConcurrentStringInterner interner(keys.size());
-    pae::Rng rng(7);
-    for (int i = 0; i < kInternOps; ++i) {
-      interner.Intern(keys[rng.NextBounded(keys.size())]);
-    }
-  });
-  // Contended: 4 workers share one table and the full key universe.
-  constexpr int kContendedThreads = 4;
-  const double concurrent_contended_seconds = MinSeconds(3, [&] {
-    pae::util::ConcurrentStringInterner interner(keys.size());
-    pae::util::ThreadPool pool(kContendedThreads);
-    pool.ParallelFor(0, kContendedThreads, 1, [&](size_t t) {
-      pae::Rng rng(7 + t);
-      for (int i = 0; i < kInternOps / kContendedThreads; ++i) {
-        interner.Intern(keys[rng.NextBounded(keys.size())]);
-      }
-    });
   });
 
   // --- FlatStringInterner::Reserve effect (the Vocab / CompiledCorpus /
@@ -370,7 +318,6 @@ int main(int argc, char** argv) {
        << "    \"load\": " << pae::FormatDouble(load_seconds, 9)
        << ",\n    \"parse\": " << pae::FormatDouble(parse_seconds, 9)
        << ",\n    \"discover\": " << pae::FormatDouble(discover_seconds, 9)
-       << ",\n    \"vocab_fold\": " << pae::FormatDouble(vocab_seconds, 9)
        << "\n  },\n"
        << "  \"arms\": {\n"
        << arms.str()
@@ -379,14 +326,11 @@ int main(int argc, char** argv) {
        << "  \"checksums\": {\n"
        << "    \"corpus\": \"" << std::hex << reference.corpus
        << "\",\n    \"candidates\": \"" << reference.candidates
-       << "\",\n    \"vocab\": \"" << reference.vocab << "\"\n  },\n"
+       << "\"\n  },\n"
        << std::dec
        << "  \"interner_million_ops_seconds\": {\n"
        << "    \"flat_serial\": " << pae::FormatDouble(flat_seconds, 9)
-       << ",\n    \"concurrent_serial\": "
-       << pae::FormatDouble(concurrent_serial_seconds, 9)
-       << ",\n    \"concurrent_contended_4_threads\": "
-       << pae::FormatDouble(concurrent_contended_seconds, 9) << "\n  },\n"
+       << "\n  },\n"
        << "  \"flat_reserve_build_200k_keys\": {\n"
        << "    \"unreserved_seconds\": "
        << pae::FormatDouble(build_unreserved_seconds, 9)

@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
-# Ingestion benchmark: the four-phase barrier pipeline (LoadCorpus →
-# the tests/support oracle::ProcessCorpus → DiscoverCandidates → serial
-# vocab fold) vs the
-# single-pass streaming pipeline (core/ingest.h) over the same on-disk
-# corpus, at several thread counts.
+# Ingestion benchmark: the three-phase barrier pipeline (LoadCorpus →
+# the tests/support oracle::ProcessCorpus → DiscoverCandidates) vs the
+# streaming pipeline (core/ingest.h) over the same on-disk corpus, at
+# several thread counts.
 #
 #   scripts/bench_ingest.sh                  # refresh BENCH_ingest.json
 #   scripts/bench_ingest.sh --out custom.json
 #
 # One binary run produces the whole report: a single-threaded phase
 # profile of the barrier pipeline, interleaved barrier/streaming timing
-# arms per thread count (min of PAE_BENCH_REPS reps each), an interner
-# micro-benchmark, and the FlatStringInterner::Reserve effect. The
+# arms per thread count (min of PAE_BENCH_REPS reps each), a
+# FlatStringInterner micro-benchmark, and its Reserve effect. The
 # binary also re-checks the equivalence contract on every rep — the
 # report's `outputs_identical_across_arms_and_threads` must be true or
 # the timings are meaningless.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository check: build + test suite four times — once plain, once
 # with ThreadSanitizer focused on the concurrency surface, once with
-# AddressSanitizer focused on the interner/feature-pipeline surface,
+# AddressSanitizer focused on the interner/feature-pipeline/ingest surface,
 # and once with UBSan over the FULL ctest suite.
 #
 #   scripts/check.sh             # all passes
@@ -25,16 +25,17 @@
 # shutdown, SIGTERM) is tests/daemon_test, which pass 1's full ctest
 # runs. Pass 2 configures build-check-tsan/ with
 # -DPAE_SANITIZE=thread and runs the thread-pool + concurrency +
-# feature-pipeline + concurrent-interner + serve + daemon binaries
+# feature-pipeline + streaming-ingest + serve + daemon binaries
 # directly: they are the tests whose failure modes are data races; the serve hot-swap
 # hammer is additionally repeated 100 times because the publish/drain
-# race is the daemon's central invariant, and the concurrent-interner
-# hammer is repeated 20 times for the same reason (CAS slot claims). Pass 3 configures
+# race is the daemon's central invariant. Pass 3 configures
 # build-check-asan/ with -DPAE_SANITIZE=address and runs the interner +
-# feature-pipeline + serve + daemon + model-artifact binaries: the interner hands
-# out raw string_views into a hand-managed arena, the serve protocol
-# tests feed adversarial frames, and the packed-artifact tests probe
-# mmap'ed tables in place — exactly the kind of code ASan exists for.
+# feature-pipeline + ingest + scanner/segmenter + serve + daemon +
+# model-artifact binaries: the interner hands out raw string_views into
+# a hand-managed arena, the ingest workers reuse per-thread scanner and
+# segmenter buffers across pages, the serve protocol tests feed
+# adversarial frames, and the packed-artifact tests probe mmap'ed
+# tables in place — exactly the kind of code ASan exists for.
 # Pass 4 configures build-check-ubsan/ with -DPAE_SANITIZE=undefined
 # (which also enables float-divide-by-zero and -fno-sanitize-recover)
 # and runs the WHOLE ctest suite: UBSan's costs are cheap enough to
@@ -150,14 +151,12 @@ if [[ "${RUN_TSAN}" == "1" ]]; then
         -DPAE_SANITIZE=thread > /dev/null
   cmake --build build-check-tsan -j "${JOBS}" \
         --target thread_pool_test concurrency_test feature_pipeline_test \
-        concurrent_interner_test streaming_ingest_test serve_test \
-        daemon_test
+        streaming_ingest_test serve_test daemon_test
   ./build-check-tsan/tests/thread_pool_test
   ./build-check-tsan/tests/concurrency_test
   ./build-check-tsan/tests/feature_pipeline_test
-  ./build-check-tsan/tests/concurrent_interner_test
   # The full multi-worker ingest pipeline (reader + scanner + segmenter
-  # + both concurrent interners) under TSan, not just the interner.
+  # + per-thread scratch) under TSan.
   ./build-check-tsan/tests/streaming_ingest_test
   ./build-check-tsan/tests/serve_test
   # The real daemon binary, built with the same instrumentation: 2
@@ -169,23 +168,23 @@ if [[ "${RUN_TSAN}" == "1" ]]; then
   ./build-check-tsan/tests/serve_test \
         --gtest_filter='GenerationCellTest.HotSwapHammer*' \
         --gtest_repeat=100 --gtest_brief=1
-  # Same logic for the lock-free interner: the CAS slot-claim /
-  # publish-wait protocol is its central invariant, so the 8-thread
-  # mixed intern/find hammer gets repeated runs under TSan by name.
-  ./build-check-tsan/tests/concurrent_interner_test \
-        --gtest_filter='ConcurrentInternerHammer*' \
-        --gtest_repeat=20 --gtest_brief=1
 fi
 
 if [[ "${RUN_ASAN}" == "1" ]]; then
-  echo "==> pass 3: AddressSanitizer build + interner/pipeline binaries"
+  echo "==> pass 3: AddressSanitizer build + interner/pipeline/ingest binaries"
   cmake -B build-check-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DPAE_SANITIZE=address > /dev/null
   cmake --build build-check-asan -j "${JOBS}" \
         --target interner_test feature_pipeline_test crf_test serve_test \
-        serve_protocol_test model_artifact_test daemon_test
+        serve_protocol_test model_artifact_test daemon_test \
+        streaming_ingest_test stream_scanner_test
   ./build-check-asan/tests/interner_test
   ./build-check-asan/tests/feature_pipeline_test
+  # Ingest workers and the serving engine reuse one StreamScanner and
+  # one FusedSegmenter scratch (buffers + sentence memo) page after
+  # page; a stale view into a reused buffer is a use-after-free.
+  ./build-check-asan/tests/streaming_ingest_test
+  ./build-check-asan/tests/stream_scanner_test
   ./build-check-asan/tests/crf_test
   ./build-check-asan/tests/serve_test
   ./build-check-asan/tests/daemon_test

@@ -72,7 +72,7 @@ class StreamingCorpusReader {
   const std::string& product_id(size_t page) const {
     return product_ids_[page];
   }
-  /// Sum of on-disk page sizes (for pre-sizing dictionaries).
+  /// Sum of on-disk page sizes.
   uint64_t total_page_bytes() const { return total_page_bytes_; }
 
   /// Reads page `page`'s HTML into `*html`, reusing its capacity.

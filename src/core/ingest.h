@@ -7,32 +7,27 @@
 #include "core/document.h"
 #include "core/preprocess.h"
 #include "core/types.h"
-#include "text/vocab.h"
 #include "util/status.h"
 
 namespace pae::core {
 
-/// Everything one streaming pass over the pages produces. The barrier
-/// reference (tests/support/oracle.h) computes the same three artifacts
-/// in four separate phases (LoadCorpus → oracle::ProcessCorpus →
-/// DiscoverCandidates → a serial vocab fold); the contract here is
-/// byte-equality with that path:
+/// What one ingestion pass over the pages produces: the paper's
+/// pre-processor output (§V-A) — parsed pages and the dictionary-table
+/// candidates the seed is built from. The barrier reference
+/// (tests/support/oracle.h) computes the same two artifacts in three
+/// separate phases (LoadCorpus → oracle::ProcessCorpus →
+/// DiscoverCandidates); the contract here is byte-equality with that
+/// path:
 ///
-///   * `corpus`      == oracle::ProcessCorpus(LoadCorpus(dir)) field for
-///                      field,
-///   * `candidates`  == DiscoverCandidates(corpus),
-///   * `token_vocab` == Vocab built by GetOrAdd over every token in
-///                      page-major order,
+///   * `corpus`     == oracle::ProcessCorpus(LoadCorpus(dir)) field for
+///                     field,
+///   * `candidates` == DiscoverCandidates(corpus),
 ///
-/// at every thread count (tests/streaming_ingest_test.cc holds all
-/// three to memcmp-level equality at 1/4/8 threads).
+/// at every thread count (tests/streaming_ingest_test.cc holds both to
+/// memcmp-level equality at 1/4/8 threads).
 struct IngestedCorpus {
   ProcessedCorpus corpus;
   CandidateSet candidates;
-  /// Corpus-token dictionary in page-major first-occurrence order
-  /// (id 0 = "<unk>") — the live vocabulary the incremental-bootstrap
-  /// arc extends as new merchant pages stream in.
-  text::Vocab token_vocab;
 };
 
 struct IngestOptions {
@@ -40,13 +35,11 @@ struct IngestOptions {
   int threads = 1;
 };
 
-/// Single-pass ingestion of an in-memory corpus: every worker parses,
-/// tokenizes, PoS-tags, harvests table candidates, and interns tokens
-/// for one page while that page is cache-hot, instead of the barrier
-/// pipeline's one-artifact-per-phase sweeps. Candidate keys and tokens
-/// go through two ConcurrentStringInterners; after the workers join,
-/// one serial page-major fold canonicalizes the handles, so the output
-/// is byte-identical to the barrier path at every thread count.
+/// Ingestion of an in-memory corpus: every worker scans, splits,
+/// tokenizes and PoS-tags one page while that page is cache-hot,
+/// instead of the barrier pipeline's one-artifact-per-phase sweeps.
+/// After the workers join, one serial DiscoverCandidates walk harvests
+/// the table candidates.
 IngestedCorpus IngestCorpus(const Corpus& corpus,
                             const IngestOptions& options);
 

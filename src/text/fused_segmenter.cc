@@ -26,7 +26,7 @@ bool IsDigitCp(char32_t cp) {
 
 }  // namespace
 
-FusedSegmenter::CacheEntry* FusedSegmenter::SentenceCache::FindOrInsert(
+FusedSegmenter::CachedSentence* FusedSegmenter::SentenceCache::FindOrInsert(
     std::string_view key, bool* inserted) {
   if (slots_.empty()) slots_.resize(kInitialCacheSlots);
   const uint64_t hash = std::hash<std::string_view>{}(key);
@@ -52,7 +52,7 @@ FusedSegmenter::CacheEntry* FusedSegmenter::SentenceCache::FindOrInsert(
   Slot& slot = slots_[idx];
   slot.hash = hash;
   slot.key.assign(key.data(), key.size());
-  slot.entry = std::make_unique<CacheEntry>();
+  slot.entry = std::make_unique<CachedSentence>();
   ++count_;
   *inserted = true;
   return slot.entry.get();
@@ -99,8 +99,7 @@ FusedSegmenter::FusedSegmenter(
 
 void FusedSegmenter::Segment(std::string_view text,
                              std::vector<LabeledSequence>* out,
-                             Scratch* scratch,
-                             std::vector<CacheEntry*>* entry_out) const {
+                             Scratch* scratch) const {
   int sentence_index = static_cast<int>(out->size());
 
   auto emit = [&](size_t byte_begin, size_t byte_end) {
@@ -119,15 +118,14 @@ void FusedSegmenter::Segment(std::string_view text,
     const std::string_view key =
         text.substr(byte_begin, byte_end - byte_begin);
     bool inserted = false;
-    CacheEntry* entry = scratch->cache.FindOrInsert(key, &inserted);
-    if (entry != nullptr && !inserted) {
-      if (entry->cached.tokens.empty()) return;  // all-skip sentence
+    CachedSentence* cached = scratch->cache.FindOrInsert(key, &inserted);
+    if (cached != nullptr && !inserted) {
+      if (cached->tokens.empty()) return;  // all-skip sentence
       LabeledSequence seq;
-      seq.tokens = entry->cached.tokens;
-      seq.pos = entry->cached.pos;
+      seq.tokens = cached->tokens;
+      seq.pos = cached->pos;
       seq.sentence_index = sentence_index++;
       out->push_back(std::move(seq));
-      if (entry_out != nullptr) entry_out->push_back(entry);
       return;
     }
 
@@ -182,14 +180,13 @@ void FusedSegmenter::Segment(std::string_view text,
       seq.pos.push_back(TagToken(*scratch, seq.tokens[t], spans[t].first,
                                  spans[t].second));
     }
-    if (entry != nullptr) {
-      entry->cached.tokens = seq.tokens;
-      entry->cached.pos = seq.pos;
+    if (cached != nullptr) {
+      cached->tokens = seq.tokens;
+      cached->pos = seq.pos;
     }
     if (seq.tokens.empty()) return;
     seq.sentence_index = sentence_index++;
     out->push_back(std::move(seq));
-    if (entry_out != nullptr) entry_out->push_back(entry);
   };
 
   // SplitSentences boundary rules, walked over the raw bytes: every

@@ -30,9 +30,9 @@ namespace pae::text {
 /// decodes that one sentence and runs the exact token / tag state
 /// machines over it. Product pages are heavily templated, so most
 /// sentences recur corpus-wide and the common case is a memo hit that
-/// copies byte-identical results. It is the text half of the streaming
-/// ingestion hot path (core/ingest.h) and of the serving engine
-/// (core/engine.h), which resets the memo per request.
+/// copies byte-identical results. It is the text half of the ingestion
+/// hot path (core/ingest.h), which resets the memo per ingest run, and
+/// of the serving engine (core/engine.h), which resets it per request.
 ///
 /// Equivalence contract, enforced by tests/stream_scanner_test.cc with
 /// randomized differentials: Segment(text) produces exactly the
@@ -42,31 +42,19 @@ namespace pae::text {
 /// produces, byte for byte, for both languages.
 class FusedSegmenter {
  public:
-  /// Tokens + tags of one distinct trimmed sentence. Segmentation is a
-  /// pure function of the sentence bytes, so the cached copy is
-  /// byte-identical to recomputing it.
+  /// Tokens + tags of one distinct trimmed sentence. For one segmenter,
+  /// segmentation is a pure function of the sentence bytes, so the
+  /// cached copy is byte-identical to recomputing it.
   struct CachedSentence {
     std::vector<std::string> tokens;
     std::vector<std::string> pos;
   };
 
-  /// One memo entry. `cookie` / `cookie_generation` are an opaque slot
-  /// for callers that layer their own per-sentence caches on top of the
-  /// memo — core/ingest stores one interner handle per token there, so
-  /// repeated sentences skip interning too. The segmenter never reads
-  /// them; callers must treat a generation mismatch as "not filled"
-  /// (entries outlive whatever run-scoped state the cookie refers to).
-  struct CacheEntry {
-    CachedSentence cached;
-    uint64_t cookie_generation = 0;
-    std::vector<uint64_t> cookie;
-  };
-
-  /// Open-addressing sentence-bytes -> CacheEntry memo. Flat slots keep
-  /// a lookup at one probe chain over (hash, key) pairs — roughly half
-  /// the cache misses of a node-based unordered_map — and find + insert
-  /// share a single hash computation. Entries are heap-allocated so the
-  /// pointers FindOrInsert hands out stay valid across growth.
+  /// Open-addressing sentence-bytes -> CachedSentence memo. Flat slots
+  /// keep a lookup at one probe chain over (hash, key) pairs — roughly
+  /// half the cache misses of a node-based unordered_map — and find +
+  /// insert share a single hash computation. Entries are heap-allocated
+  /// so the slots the probe walks stay small.
   class SentenceCache {
    public:
     /// Returns the entry for `key`, inserting an empty one if absent
@@ -74,7 +62,7 @@ class FusedSegmenter {
     /// when the cache is full and `key` is absent — the caller simply
     /// recomputes, so adversarial corpora with unbounded distinct
     /// sentences cannot grow the memo without limit.
-    CacheEntry* FindOrInsert(std::string_view key, bool* inserted);
+    CachedSentence* FindOrInsert(std::string_view key, bool* inserted);
 
     size_t size() const { return count_; }
 
@@ -82,7 +70,7 @@ class FusedSegmenter {
     struct Slot {
       uint64_t hash = 0;
       std::string key;
-      std::unique_ptr<CacheEntry> entry;  // empty slot iff nullptr
+      std::unique_ptr<CachedSentence> entry;  // empty slot iff nullptr
     };
 
     void Grow();
@@ -92,7 +80,10 @@ class FusedSegmenter {
   };
 
   /// Per-thread reusable buffers; Segment is const and thread-safe as
-  /// long as each thread passes its own Scratch.
+  /// long as each thread passes its own Scratch. The memo is keyed by
+  /// sentence bytes only, so it is valid for the segmenter (language and
+  /// lexicons) that filled it: reset it (`cache = {}`) before handing
+  /// the Scratch to another segmenter.
   struct Scratch {
     SentenceCache cache;
     /// Decoded code points / classes / byte offsets of the sentence
@@ -115,13 +106,9 @@ class FusedSegmenter {
                  const std::vector<std::string>& tokenizer_lexicon,
                  const PosLexicon& pos_lexicon);
 
-  /// Appends the segmented sentences of `text` to `out`. If `entry_out`
-  /// is non-null, appends one memo-entry pointer per appended sentence
-  /// (null when the sentence was not cached because the memo is full),
-  /// letting callers read or fill the entry cookies.
+  /// Appends the segmented sentences of `text` to `out`.
   void Segment(std::string_view text, std::vector<LabeledSequence>* out,
-               Scratch* scratch,
-               std::vector<CacheEntry*>* entry_out = nullptr) const;
+               Scratch* scratch) const;
 
  private:
   /// Both tokenizers emit spans into scratch->token_spans only; the

@@ -1,7 +1,7 @@
-// Byte-equality proof for the streaming ingestion (core/ingest.h): the
-// single-pass pipeline (and its on-disk streaming variant) must produce
-// memcmp-identical ProcessedCorpus, CandidateSet, Vocab, and Seed
-// artifacts to the barrier pipeline (LoadCorpus → the tests/support
+// Byte-equality proof for the ingestion (core/ingest.h): the per-page
+// pipeline (and its on-disk streaming variant) must produce
+// memcmp-identical ProcessedCorpus, CandidateSet and Seed artifacts to
+// the barrier pipeline (LoadCorpus → the tests/support
 // oracle::ProcessCorpus → DiscoverCandidates → BuildSeed) at every
 // thread count.
 
@@ -13,6 +13,8 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/corpus_io.h"
@@ -20,7 +22,6 @@
 #include "core/preprocess.h"
 #include "datagen/generator.h"
 #include "support/oracle.h"
-#include "text/vocab.h"
 
 namespace pae::core {
 namespace {
@@ -70,14 +71,6 @@ std::string Serialize(const CandidateSet& candidates) {
   return os.str();
 }
 
-std::string Serialize(const text::Vocab& vocab) {
-  std::ostringstream os;
-  for (size_t id = 0; id < vocab.size(); ++id) {
-    os << vocab.Word(static_cast<int32_t>(id)) << '\x1f';
-  }
-  return os.str();
-}
-
 std::string Serialize(const Seed& seed) {
   std::ostringstream os;
   os << seed.candidates_before_cleaning << '\x1f'
@@ -104,33 +97,17 @@ std::string Serialize(const Seed& seed) {
   return os.str();
 }
 
-/// The barrier pipeline's token vocabulary: a serial GetOrAdd over
-/// every token in page-major order.
-text::Vocab SerialVocab(const ProcessedCorpus& corpus) {
-  text::Vocab vocab;
-  for (const ProcessedPage& page : corpus.pages) {
-    for (const auto& sentence : page.sentences) {
-      for (const std::string& token : sentence.tokens) {
-        vocab.GetOrAdd(token);
-      }
-    }
-  }
-  return vocab;
-}
-
 TEST(StreamingIngestTest, MatchesBarrierPipelineAtEveryThreadCount) {
   const datagen::GeneratedCategory category = MakeCategory(120, 4242);
 
-  // Barrier reference: the existing four-phase pipeline, single thread.
+  // Barrier reference: the three-phase pipeline, single thread.
   const ProcessedCorpus barrier = oracle::ProcessCorpus(category.corpus, 1);
   const std::string barrier_corpus_bytes = Serialize(barrier);
   const std::string barrier_candidates_bytes =
       Serialize(DiscoverCandidates(barrier));
-  const std::string barrier_vocab_bytes = Serialize(SerialVocab(barrier));
   const std::string barrier_seed_bytes =
       Serialize(BuildSeed(barrier, PreprocessConfig{}));
   ASSERT_FALSE(barrier_candidates_bytes.empty());
-  ASSERT_FALSE(barrier_vocab_bytes.empty());
 
   for (int threads : {1, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -139,7 +116,6 @@ TEST(StreamingIngestTest, MatchesBarrierPipelineAtEveryThreadCount) {
     const IngestedCorpus ingested = IngestCorpus(category.corpus, options);
     EXPECT_EQ(Serialize(ingested.corpus), barrier_corpus_bytes);
     EXPECT_EQ(Serialize(ingested.candidates), barrier_candidates_bytes);
-    EXPECT_EQ(Serialize(ingested.token_vocab), barrier_vocab_bytes);
     EXPECT_EQ(Serialize(BuildSeedFromCandidates(
                   ingested.corpus, ingested.candidates, PreprocessConfig{})),
               barrier_seed_bytes);
@@ -160,7 +136,6 @@ TEST(StreamingIngestTest, GermanCategoryMatchesBarrierPipeline) {
   const std::string barrier_corpus_bytes = Serialize(barrier);
   const std::string barrier_candidates_bytes =
       Serialize(DiscoverCandidates(barrier));
-  const std::string barrier_vocab_bytes = Serialize(SerialVocab(barrier));
   ASSERT_FALSE(barrier_candidates_bytes.empty());
 
   for (int threads : {1, 4, 8}) {
@@ -170,7 +145,6 @@ TEST(StreamingIngestTest, GermanCategoryMatchesBarrierPipeline) {
     const IngestedCorpus ingested = IngestCorpus(category.corpus, options);
     EXPECT_EQ(Serialize(ingested.corpus), barrier_corpus_bytes);
     EXPECT_EQ(Serialize(ingested.candidates), barrier_candidates_bytes);
-    EXPECT_EQ(Serialize(ingested.token_vocab), barrier_vocab_bytes);
   }
 }
 
@@ -190,7 +164,6 @@ TEST(StreamingIngestTest, DiskStreamingMatchesInMemoryIngestion) {
   const IngestedCorpus reference = IngestCorpus(loaded.value(), serial);
   const std::string corpus_bytes = Serialize(reference.corpus);
   const std::string candidates_bytes = Serialize(reference.candidates);
-  const std::string vocab_bytes = Serialize(reference.token_vocab);
 
   for (int threads : {1, 4, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -200,9 +173,40 @@ TEST(StreamingIngestTest, DiskStreamingMatchesInMemoryIngestion) {
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     EXPECT_EQ(Serialize(streamed.value().corpus), corpus_bytes);
     EXPECT_EQ(Serialize(streamed.value().candidates), candidates_bytes);
-    EXPECT_EQ(Serialize(streamed.value().token_vocab), vocab_bytes);
   }
   fs::remove_all(dir);
+}
+
+TEST(StreamingIngestTest, SegmenterMemoDoesNotOutliveTheRun) {
+  // The sentence memo is keyed by sentence bytes alone, so it is only
+  // valid for one (language, lexicon) pair: a second ingest on the same
+  // thread with a different tokenizer lexicon must segment afresh.
+  // threads = 1 runs every page on the calling thread.
+  auto make_corpus = [](std::vector<std::string> lexicon) {
+    Corpus corpus;
+    corpus.category = "memo";
+    corpus.language = text::Language::kJa;
+    corpus.tokenizer_lexicon = std::move(lexicon);
+    corpus.pages.push_back({"p1", "<p>光学ズーム10倍。</p>"});
+    return corpus;
+  };
+  const Corpus first = make_corpus({"光学ズーム"});
+  const Corpus second = make_corpus({"光学", "ズーム"});
+  IngestOptions options;
+  options.threads = 1;
+
+  std::string fresh_bytes;
+  std::thread([&] {
+    fresh_bytes = Serialize(IngestCorpus(second, options).corpus);
+  }).join();
+
+  // The two lexicons segment the page differently, so a memo carried
+  // over from the first run shows in the second run's bytes.
+  ASSERT_NE(Serialize(IngestCorpus(first, options).corpus), fresh_bytes);
+  const IngestedCorpus reused = IngestCorpus(second, options);
+  EXPECT_EQ(Serialize(reused.corpus), fresh_bytes);
+  ASSERT_FALSE(reused.corpus.pages[0].sentences.empty());
+  EXPECT_EQ(reused.corpus.pages[0].sentences[0].tokens[0], "光学");
 }
 
 TEST(StreamingIngestTest, MissingDirectoryFailsLikeLoadCorpus) {

@@ -418,10 +418,8 @@ std::vector<Violation> LintFile(std::string_view path,
 
   // --- single-writer-interner: FlatStringInterner::Intern and
   // Vocab::GetOrAdd mutate single-writer open-addressing tables; called
-  // from a ParallelFor body they race. Concurrent interning goes
-  // through util::ConcurrentStringInterner (handles in the loop, one
-  // Canonicalize after the join). The legitimate concurrent call sites
-  // (the interner's own tests/benches) are allowlisted.
+  // from a ParallelFor body they race. Workers write per-index slots
+  // and the interning happens serially after the join.
   {
     constexpr std::string_view kLoopTok = "ParallelFor";
     ForEachToken(stripped, kLoopTok, [&](int line, size_t i) {
@@ -440,9 +438,8 @@ std::vector<Violation> LintFile(std::string_view path,
           add(line + rel_line - 1, "single-writer-interner",
               std::string(".") + tok +
                   "() inside a ParallelFor body: FlatStringInterner and "
-                  "Vocab are single-writer; use "
-                  "util::ConcurrentStringInterner handles in the loop and "
-                  "Canonicalize after the join");
+                  "Vocab are single-writer; write per-index results in "
+                  "the loop and intern serially after the join");
         });
       }
     });

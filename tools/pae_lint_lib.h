@@ -79,10 +79,9 @@ struct Violation {
 ///                        inside a ParallelFor body — both mutate
 ///                        single-writer open-addressing tables, so a
 ///                        worker calling them races every other worker.
-///                        Concurrent interning goes through
-///                        util::ConcurrentStringInterner: workers hold
-///                        handles, one Canonicalize after the join
-///                        restores deterministic dense ids.
+///                        Workers write per-index results; intern
+///                        serially after the join, which also keeps ids
+///                        deterministic.
 inline constexpr const char* kAllRules[] = {
     "hot-path-string-map", "raw-random",        "raw-stdio",
     "naked-assert",        "include-guard",     "float-accumulator",
