@@ -33,10 +33,10 @@ struct CrfFixture {
   CrfFixture(size_t labels, size_t features, size_t length) {
     Rng rng(1);
     for (size_t y = 0; y < labels; ++y) {
-      model.AddLabel("L" + std::to_string(y));
+      model.AddLabel(std::string("L").append(std::to_string(y)));
     }
     for (size_t f = 0; f < features; ++f) {
-      model.AddFeature("F" + std::to_string(f));
+      model.AddFeature(std::string("F").append(std::to_string(f)));
     }
     seq.features.resize(length);
     seq.labels.resize(length);
@@ -53,15 +53,28 @@ struct CrfFixture {
 };
 
 void BM_CrfSequenceNll(benchmark::State& state) {
-  CrfFixture fixture(static_cast<size_t>(state.range(0)), 2000, 15);
-  std::vector<double> grad(fixture.weights.size());
+  // One sequence's NLL + gradient against potentials built once, as
+  // training shares them across an evaluation. Args = labels, length;
+  // {15, 5} is the bootstrap's shape (L = 14–15, mean T ≈ 4.7). The
+  // gradient keeps accumulating, as a training shard's does: zeroing
+  // all 2000·L coordinates per call would cost more than the kernel.
+  CrfFixture fixture(static_cast<size_t>(state.range(0)), 2000,
+                     static_cast<size_t>(state.range(1)));
+  crf::ScaledPotentials potentials;
+  fixture.model.BuildPotentials(fixture.weights, &potentials);
+  std::vector<double> grad(fixture.weights.size(), 0.0);
   for (auto _ : state) {
-    std::fill(grad.begin(), grad.end(), 0.0);
-    benchmark::DoNotOptimize(
-        fixture.model.SequenceNll(fixture.seq, fixture.weights, &grad));
+    benchmark::DoNotOptimize(fixture.model.SequenceNll(
+        fixture.seq, fixture.weights, potentials, &grad));
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_CrfSequenceNll)->Arg(9)->Arg(17)->Arg(25);
+BENCHMARK(BM_CrfSequenceNll)
+    ->ArgNames({"labels", "length"})
+    ->Args({9, 15})
+    ->Args({17, 15})
+    ->Args({25, 15})
+    ->Args({15, 5});
 
 void BM_CrfViterbi(benchmark::State& state) {
   CrfFixture fixture(static_cast<size_t>(state.range(0)), 2000, 15);
@@ -121,7 +134,8 @@ void BM_Word2VecTrain(benchmark::State& state) {
   for (int i = 0; i < 500; ++i) {
     std::vector<std::string> sentence;
     for (int k = 0; k < 10; ++k) {
-      sentence.push_back("w" + std::to_string(rng.NextBounded(400)));
+      sentence.push_back(
+          std::string("w").append(std::to_string(rng.NextBounded(400))));
     }
     corpus.push_back(std::move(sentence));
   }
@@ -406,8 +420,9 @@ void BM_FeatureCompileCached(benchmark::State& state) {
 BENCHMARK(BM_FeatureCompileCached)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
 
 void BM_CrfObjective(benchmark::State& state) {
-  // One NLL+gradient evaluation over a compiled training set, with the
-  // sparse per-shard accumulators Train uses; Arg = thread count.
+  // One NLL+gradient evaluation over a compiled training set, as Train
+  // runs it: potentials built once per evaluation, sparse per-shard
+  // accumulators with touched lists built once; Arg = thread count.
   const std::vector<text::LabeledSequence> data = MakeCrfTrainData(200);
   crf::CrfOptions options;
   options.max_iterations = 1;
@@ -420,7 +435,6 @@ void BM_CrfObjective(benchmark::State& state) {
   const crf::CrfModel& model = tagger.model();
   const std::vector<double>& w = tagger.weights();
   std::vector<crf::CompiledSequence> compiled;
-  std::vector<std::vector<int>> unique_feats;
   {
     crf::FeatureEncoder encoder(options.features);
     for (const auto& seq : data) {
@@ -433,13 +447,6 @@ void BM_CrfObjective(benchmark::State& state) {
       for (const std::string& label : seq.labels) {
         cs.labels.push_back(model.LookupLabel(label));
       }
-      std::vector<int> u;
-      for (const auto& feats : cs.features) {
-        u.insert(u.end(), feats.begin(), feats.end());
-      }
-      std::sort(u.begin(), u.end());
-      u.erase(std::unique(u.begin(), u.end()), u.end());
-      unique_feats.push_back(std::move(u));
       compiled.push_back(std::move(cs));
     }
   }
@@ -449,31 +456,40 @@ void BM_CrfObjective(benchmark::State& state) {
   struct ShardAcc {
     std::vector<double> grad;
     std::vector<int> touched;
-    std::vector<uint8_t> mark;
     double nll = 0;
   };
-  std::vector<ShardAcc> shard_accs(
-      util::NumReductionShards(compiled.size(), 4, 32));
-  for (ShardAcc& acc : shard_accs) {
+  const size_t num_shards = util::NumReductionShards(compiled.size(), 4, 32);
+  std::vector<ShardAcc> shard_accs(num_shards);
+  std::vector<uint8_t> in_shard(model.num_features(), 0);
+  for (size_t s = 0; s < num_shards; ++s) {
+    ShardAcc& acc = shard_accs[s];
     acc.grad.assign(dim, 0.0);
-    acc.mark.assign(model.num_features(), 0);
+    const size_t end =
+        util::ReductionShardBegin(s + 1, compiled.size(), num_shards);
+    for (size_t i = util::ReductionShardBegin(s, compiled.size(), num_shards);
+         i < end; ++i) {
+      for (const auto& feats : compiled[i].features) {
+        for (int f : feats) in_shard[static_cast<size_t>(f)] = 1;
+      }
+    }
+    for (size_t f = 0; f < in_shard.size(); ++f) {
+      if (in_shard[f]) acc.touched.push_back(static_cast<int>(f));
+      in_shard[f] = 0;
+    }
   }
   util::ThreadPool pool(static_cast<int>(state.range(0)));
   std::vector<double> grad(dim, 0.0);
+  crf::ScaledPotentials potentials;
   for (auto _ : state) {
     std::fill(grad.begin(), grad.end(), 0.0);
+    model.BuildPotentials(w, &potentials);
     double nll = 0;
     util::OrderedReduce<ShardAcc*>(
         pool, compiled.size(), 4, 32,
         [&, next = size_t{0}]() mutable { return &shard_accs[next++]; },
         [&](ShardAcc* acc, size_t i) {
-          acc->nll += model.SequenceNll(compiled[i], w, &acc->grad);
-          for (int f : unique_feats[i]) {
-            if (!acc->mark[static_cast<size_t>(f)]) {
-              acc->mark[static_cast<size_t>(f)] = 1;
-              acc->touched.push_back(f);
-            }
-          }
+          acc->nll += model.SequenceNll(compiled[i], w, potentials,
+                                        &acc->grad);
         },
         [&](ShardAcc* acc, size_t) {
           nll += acc->nll;
@@ -484,9 +500,7 @@ void BM_CrfObjective(benchmark::State& state) {
               grad[base + y] += acc->grad[base + y];
               acc->grad[base + y] = 0.0;
             }
-            acc->mark[static_cast<size_t>(f)] = 0;
           }
-          acc->touched.clear();
           for (size_t i = trans_base; i < dim; ++i) {
             grad[i] += acc->grad[i];
             acc->grad[i] = 0.0;
@@ -508,7 +522,8 @@ void BM_Word2VecTrainSharded(benchmark::State& state) {
   for (int i = 0; i < 500; ++i) {
     std::vector<std::string> sentence;
     for (int k = 0; k < 10; ++k) {
-      sentence.push_back("w" + std::to_string(rng.NextBounded(400)));
+      sentence.push_back(
+          std::string("w").append(std::to_string(rng.NextBounded(400))));
     }
     corpus.push_back(std::move(sentence));
   }

@@ -2,7 +2,8 @@
 # Runs the CRF feature-pipeline microbenchmarks (extraction, compilation,
 # objective — string baseline vs interned vs cached, each at 1/2/4
 # threads — plus the per-sequence NLL + gradient kernel at 9/17/25
-# labels) and writes the google-benchmark JSON report to
+# labels × 15 tokens and at the bootstrap's shape, 15 labels × 5 tokens)
+# and writes the google-benchmark JSON report to
 # BENCH_feature_pipeline.json in the repository root.
 #
 #   scripts/bench_feature_pipeline.sh [build-dir]   # default: build-bench

@@ -80,7 +80,8 @@ std::vector<text::LabeledSequence> FilterLabels(
       bool begin = false;
       if (text::ParseBioLabel(label, &attribute, &begin) &&
           keep.count(attribute) == 0) {
-        label = text::kOutsideLabel;
+        label.clear();
+        label += text::kOutsideLabel;
       }
     }
   }

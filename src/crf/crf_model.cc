@@ -137,42 +137,52 @@ double CrfModel::ForwardBackward(const CompiledSequence& seq,
   return math::LogSumExp(tmp);
 }
 
+void CrfModel::BuildPotentials(std::span<const double> w,
+                               ScaledPotentials* out) const {
+  const size_t L = num_labels();
+  PAE_DCHECK_EQ(w.size(), WeightDim());
+  out->trans.resize(L * L);
+  out->trans_t.resize(L * L);
+  out->start.resize(L);
+  out->end.resize(L);
+  out->max_trans = ExpShifted(w.data() + TransBase(), L * L,
+                              out->trans.data());
+  out->max_start = ExpShifted(w.data() + StartBase(), L, out->start.data());
+  out->max_end = ExpShifted(w.data() + EndBase(), L, out->end.data());
+  for (size_t yp = 0; yp < L; ++yp) {
+    for (size_t y = 0; y < L; ++y) {
+      out->trans_t[y * L + yp] = out->trans[yp * L + y];
+    }
+  }
+}
+
 double CrfModel::ScaledForwardBackward(const CompiledSequence& seq,
                                        std::span<const double> w,
+                                       const ScaledPotentials& potentials,
                                        ScaledLattice* lattice) const {
   const size_t L = num_labels();
   const size_t T = seq.length();
   PAE_DCHECK_GT(T, 0u);
+  PAE_DCHECK_EQ(potentials.start.size(), L);
   UnigramScores(seq, w, &lattice->scores);
   lattice->emit.resize(T * L);
   lattice->alpha.resize(T * L);
   lattice->beta.resize(T * L);
   lattice->scale.resize(T);
-  lattice->exp_trans.resize(L * L);
-  lattice->exp_trans_t.resize(L * L);
-  lattice->exp_start.resize(L);
-  lattice->exp_end.resize(L);
   const double* scores = lattice->scores.data();
   double* emit = lattice->emit.data();
   double* alpha = lattice->alpha.data();
   double* beta = lattice->beta.data();
   double* scale = lattice->scale.data();
-  double* exp_trans = lattice->exp_trans.data();
-  double* exp_trans_t = lattice->exp_trans_t.data();
-  double* exp_start = lattice->exp_start.data();
-  double* exp_end = lattice->exp_end.data();
+  const double* exp_trans = potentials.trans.data();
+  const double* exp_trans_t = potentials.trans_t.data();
+  const double* exp_start = potentials.start.data();
+  const double* exp_end = potentials.end.data();
 
-  // Each block max taken out here is added back to log Z: the
-  // transition max once per transition, start and end once each.
-  double log_z = ExpShifted(w.data() + TransBase(), L * L, exp_trans) *
-                     static_cast<double>(T - 1) +
-                 ExpShifted(w.data() + StartBase(), L, exp_start) +
-                 ExpShifted(w.data() + EndBase(), L, exp_end);
-  for (size_t yp = 0; yp < L; ++yp) {
-    for (size_t y = 0; y < L; ++y) {
-      exp_trans_t[y * L + yp] = exp_trans[yp * L + y];
-    }
-  }
+  // Each block max taken out of the potentials is added back to log Z:
+  // the transition max once per transition, start and end once each.
+  double log_z = potentials.max_trans * static_cast<double>(T - 1) +
+                 potentials.max_start + potentials.max_end;
 
   // Forward: alpha_t = E_t ⊙ (alpha_{t-1} · exp(trans)) / c_t, with
   // exp(start) in place of the product at t = 0.
@@ -214,6 +224,7 @@ double CrfModel::ScaledForwardBackward(const CompiledSequence& seq,
 
 double CrfModel::SequenceNll(const CompiledSequence& seq,
                              std::span<const double> w,
+                             const ScaledPotentials& potentials,
                              std::vector<double>* grad) const {
   const size_t L = num_labels();
   const size_t T = seq.length();
@@ -222,7 +233,7 @@ double CrfModel::SequenceNll(const CompiledSequence& seq,
   PAE_DCHECK_EQ(grad->size(), WeightDim());
 
   ScaledLattice& lattice = ThreadLattice();
-  const double log_z = ScaledForwardBackward(seq, w, &lattice);
+  const double log_z = ScaledForwardBackward(seq, w, potentials, &lattice);
   // A non-finite partition function here means the weights (or a
   // feature score) already went NaN/inf upstream — fail at the source
   // instead of poisoning the whole gradient.
@@ -280,7 +291,7 @@ double CrfModel::SequenceNll(const CompiledSequence& seq,
   // product alpha_{0..T-2}ᵀ q_{1..T-1} — scaled by exp(trans) once.
   if (T > 1) {
     const double* q = lattice.emit.data() + L;
-    const double* exp_trans = lattice.exp_trans.data();
+    const double* exp_trans = potentials.trans.data();
     for (size_t yp = 0; yp < L; ++yp) {
       for (size_t y = 0; y < L; ++y) {
         g_trans[yp * L + y] +=

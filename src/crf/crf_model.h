@@ -20,6 +20,24 @@ struct CompiledSequence {
   size_t length() const { return features.size(); }
 };
 
+/// The weight-only factors of the scaled forward–backward: the
+/// transition, start and end blocks exponentiated after subtracting
+/// each block's max. They are a function of `w` alone, so training
+/// builds them once per objective evaluation (CrfModel::BuildPotentials)
+/// and every sequence of that evaluation reads them, concurrently and
+/// read-only, on whichever pool thread scores it.
+struct ScaledPotentials {
+  /// exp(trans − max_trans), L×L, [prev*L + y], and its transpose
+  /// ([y*L + prev]) for the forward pass's contiguous dot products.
+  std::vector<double> trans;
+  std::vector<double> trans_t;
+  std::vector<double> start;  // L, exp(start − max_start)
+  std::vector<double> end;    // L, exp(end − max_end)
+  double max_trans = 0;
+  double max_start = 0;
+  double max_end = 0;
+};
+
 /// One sequence's forward–backward lattice in probability space, with
 /// per-position scaling (the recursion CRFsuite trains with). With
 /// E_t(y) = exp(s_t(y) − max_y s_t), each row of `alpha` sums to 1 after
@@ -37,12 +55,6 @@ struct ScaledLattice {
   std::vector<double> alpha;  // T×L, rows sum to 1
   std::vector<double> beta;   // T×L
   std::vector<double> scale;  // T, c_t
-  /// exp(block − block max) for the transition (L×L, [prev*L + y]),
-  /// its transpose ([y*L + prev]), start and end blocks.
-  std::vector<double> exp_trans;
-  std::vector<double> exp_trans_t;
-  std::vector<double> exp_start;
-  std::vector<double> exp_end;
   std::vector<double> marginal;  // L, one row of alpha ⊙ beta
 };
 
@@ -134,24 +146,34 @@ class CrfModel {
   void UnigramScores(const CompiledSequence& seq, std::span<const double> w,
                      std::vector<double>* scores) const;
 
+  /// Exponentiates the transition, start and end blocks of `w` into
+  /// `out` (L² + 2L `exp`), resizing its buffers in place.
+  void BuildPotentials(std::span<const double> w,
+                       ScaledPotentials* out) const;
+
   /// Runs the scaled forward–backward over `seq` into `lattice` and
-  /// returns log Z. It costs L `exp` and one `log` per position plus
-  /// L² + 2L `exp` per sequence, against ~3L² `exp` per position in log
-  /// space. Every step is renormalized, so sequence length never
-  /// underflows it; what bounds it is the spread (max − min) of the
-  /// transition, start and end blocks, which is exponentiated whole:
-  /// results stay finite while each spread is well below ~700 nats
-  /// (exp(−700) is near the smallest normal double). Trained CRF
+  /// returns log Z. `potentials` must come from BuildPotentials(w).
+  /// Per sequence it costs L `exp` and one `log` per position plus the
+  /// L² multiply-adds of each forward and backward step; the L² + 2L
+  /// `exp` of the weight-only blocks are paid once per weight vector,
+  /// not per sequence. Every step is renormalized, so sequence length
+  /// never underflows it; what bounds it is the spread (max − min) of
+  /// the transition, start and end blocks, which are exponentiated
+  /// whole: results stay finite while each spread is well below ~700
+  /// nats (exp(−700) is near the smallest normal double). Trained CRF
   /// weights sit within a few tens of nats.
   double ScaledForwardBackward(const CompiledSequence& seq,
                                std::span<const double> w,
+                               const ScaledPotentials& potentials,
                                ScaledLattice* lattice) const;
 
   /// Adds the sequence's negative log-likelihood to the return value and
   /// accumulates its gradient into `grad` (same layout as `w`).
-  /// Requires gold labels. Runs ScaledForwardBackward on a reusable
-  /// thread-local lattice, so it allocates nothing once warm.
+  /// Requires gold labels and `potentials` from BuildPotentials(w).
+  /// Runs ScaledForwardBackward on a reusable thread-local lattice, so
+  /// it allocates nothing once warm.
   double SequenceNll(const CompiledSequence& seq, std::span<const double> w,
+                     const ScaledPotentials& potentials,
                      std::vector<double>* grad) const;
 
   /// Posterior marginals p(y_t = y | x): out[t*L + y]. For testing and

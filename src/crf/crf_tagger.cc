@@ -197,18 +197,6 @@ Status CrfTagger::TrainFrom(const std::vector<text::LabeledSequence>& data,
     }
   }
 
-  // Per-sequence sorted unique feature lists: the sparse gradient merge
-  // below only walks the weight blocks a shard actually touched.
-  std::vector<std::vector<int>> unique_feats(compiled.size());
-  for (size_t i = 0; i < compiled.size(); ++i) {
-    std::vector<int>& u = unique_feats[i];
-    for (const std::vector<int>& feats : compiled[i].features) {
-      u.insert(u.end(), feats.begin(), feats.end());
-    }
-    std::sort(u.begin(), u.end());
-    u.erase(std::unique(u.begin(), u.end()), u.end());
-  }
-
   const size_t L = model_.num_labels();
   const size_t F = model_.num_features();
   const size_t dim = model_.WeightDim();
@@ -221,39 +209,53 @@ Status CrfTagger::TrainFrom(const std::vector<text::LabeledSequence>& data,
   util::ThreadPool pool(util::ThreadPool::ResolveThreads(options_.threads));
   // Per-shard accumulators, allocated once and reused by every objective
   // evaluation. `grad` is dense for O(1) scatter inside SequenceNll, but
-  // zeroing and merging are sparse: `touched` lists the unigram feature
-  // blocks this shard wrote, so each evaluation merges and re-zeroes
-  // only those blocks plus the (always-hit) transition tail — the old
-  // dense merge cost O(WeightDim × shards) per evaluation regardless of
-  // how sparse the shard's sequences were.
+  // zeroing and merging are sparse: `touched` lists, sorted, the unigram
+  // feature blocks the shard's sequences write, so each evaluation
+  // merges and re-zeroes only those blocks plus the (always-hit)
+  // transition tail. OrderedReduce's shards are fixed contiguous ranges
+  // of `compiled`, so the lists are built once per Train. The blocks are
+  // disjoint, so their order inside a shard cannot change a bit.
   struct ShardAcc {
     std::vector<double> grad;
     std::vector<int> touched;
-    std::vector<uint8_t> mark;  // feature id → touched this evaluation
     double nll = 0;
   };
-  std::vector<ShardAcc> shard_accs(
-      util::NumReductionShards(compiled.size(), kGradGrain, kMaxGradShards));
-  for (ShardAcc& acc : shard_accs) {
+  const size_t num_shards =
+      util::NumReductionShards(compiled.size(), kGradGrain, kMaxGradShards);
+  std::vector<ShardAcc> shard_accs(num_shards);
+  std::vector<uint8_t> in_shard(F, 0);
+  for (size_t s = 0; s < num_shards; ++s) {
+    ShardAcc& acc = shard_accs[s];
     acc.grad.assign(dim, 0.0);
-    acc.mark.assign(F, 0);
+    const size_t end =
+        util::ReductionShardBegin(s + 1, compiled.size(), num_shards);
+    for (size_t i = util::ReductionShardBegin(s, compiled.size(), num_shards);
+         i < end; ++i) {
+      for (const std::vector<int>& feats : compiled[i].features) {
+        for (int f : feats) in_shard[static_cast<size_t>(f)] = 1;
+      }
+    }
+    for (size_t f = 0; f < F; ++f) {
+      if (in_shard[f]) acc.touched.push_back(static_cast<int>(f));
+      in_shard[f] = 0;
+    }
   }
 
+  // The exponentiated transition/start/end blocks depend on the weights
+  // alone: built once per evaluation on this thread, then read by every
+  // sequence on every pool thread.
+  ScaledPotentials potentials;
   SmoothObjective objective = [&](const std::vector<double>& w,
                                   std::vector<double>* grad) -> double {
     grad->assign(dim, 0.0);
+    model_.BuildPotentials(w, &potentials);
     double nll = 0;
     util::OrderedReduce<ShardAcc*>(
         pool, compiled.size(), kGradGrain, kMaxGradShards,
         [&, next = size_t{0}]() mutable { return &shard_accs[next++]; },
         [&](ShardAcc* acc, size_t i) {
-          acc->nll += model_.SequenceNll(compiled[i], w, &acc->grad);
-          for (int f : unique_feats[i]) {
-            if (!acc->mark[static_cast<size_t>(f)]) {
-              acc->mark[static_cast<size_t>(f)] = 1;
-              acc->touched.push_back(f);
-            }
-          }
+          acc->nll += model_.SequenceNll(compiled[i], w, potentials,
+                                         &acc->grad);
         },
         [&](ShardAcc* acc, size_t /*shard*/) {
           nll += acc->nll;
@@ -264,9 +266,7 @@ Status CrfTagger::TrainFrom(const std::vector<text::LabeledSequence>& data,
               (*grad)[base + y] += acc->grad[base + y];
               acc->grad[base + y] = 0.0;
             }
-            acc->mark[static_cast<size_t>(f)] = 0;
           }
-          acc->touched.clear();
           for (size_t i = trans_base; i < dim; ++i) {
             (*grad)[i] += acc->grad[i];
             acc->grad[i] = 0.0;

@@ -1,7 +1,7 @@
 #include "crf/owlqn.h"
 
+#include <algorithm>
 #include <cmath>
-#include <deque>
 
 #include "util/logging.h"
 
@@ -62,8 +62,22 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
   const bool use_l1 = c > 0;
 
   std::vector<double> grad(n), pg(n), direction(n), x_new(n), grad_new(n);
-  std::deque<std::vector<double>> s_list, y_list;
-  std::deque<double> rho_list;
+  // L-BFGS history: a ring of `memory` (s, y, rho) pairs, oldest at
+  // `head`, plus one spare slot. Each candidate pair is written into the
+  // spare, so a pair the curvature test rejects is simply overwritten
+  // next time and an accepted one evicts the oldest by moving `head`.
+  // A slot's vectors are sized on its first use and reused after that.
+  struct Pair {
+    std::vector<double> s, y;
+    double rho = 0;
+  };
+  const size_t memory = static_cast<size_t>(std::max(options.memory, 0));
+  std::vector<Pair> ring(memory + 1);
+  size_t head = 0, count = 0;
+  auto pair_at = [&](size_t i) -> Pair& {
+    return ring[(head + i) % ring.size()];
+  };
+  std::vector<double> alpha(memory);
 
   double f = objective(*x, &grad);
   if (!std::isfinite(f)) {
@@ -91,21 +105,21 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
 
     // Two-loop recursion: direction = -H * pg.
     direction = pg;
-    std::vector<double> alpha(s_list.size());
-    for (size_t i = s_list.size(); i-- > 0;) {
-      alpha[i] = rho_list[i] * DotD(s_list[i], direction);
-      for (size_t k = 0; k < n; ++k) direction[k] -= alpha[i] * y_list[i][k];
+    for (size_t i = count; i-- > 0;) {
+      const Pair& p = pair_at(i);
+      alpha[i] = p.rho * DotD(p.s, direction);
+      for (size_t k = 0; k < n; ++k) direction[k] -= alpha[i] * p.y[k];
     }
-    if (!s_list.empty()) {
-      const auto& s_last = s_list.back();
-      const auto& y_last = y_list.back();
-      double scale = DotD(s_last, y_last) / DotD(y_last, y_last);
+    if (count > 0) {
+      const Pair& last = pair_at(count - 1);
+      double scale = DotD(last.s, last.y) / DotD(last.y, last.y);
       for (double& v : direction) v *= scale;
     }
-    for (size_t i = 0; i < s_list.size(); ++i) {
-      double beta = rho_list[i] * DotD(y_list[i], direction);
+    for (size_t i = 0; i < count; ++i) {
+      const Pair& p = pair_at(i);
+      double beta = p.rho * DotD(p.y, direction);
       for (size_t k = 0; k < n; ++k) {
-        direction[k] += (alpha[i] - beta) * s_list[i][k];
+        direction[k] += (alpha[i] - beta) * p.s[k];
       }
     }
     for (double& v : direction) v = -v;
@@ -120,9 +134,7 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
     double dir_deriv = DotD(direction, pg);
     if (dir_deriv >= 0) {
       // Not a descent direction; restart from steepest descent.
-      s_list.clear();
-      y_list.clear();
-      rho_list.clear();
+      count = 0;
       for (size_t k = 0; k < n; ++k) direction[k] = -pg[k];
       dir_deriv = DotD(direction, pg);
       if (dir_deriv >= 0) break;  // pg == 0
@@ -156,20 +168,20 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
     if (!accepted) break;  // Line search failed: accept current solution.
 
     // Update L-BFGS history with smooth-gradient differences.
-    std::vector<double> s(n), y(n);
+    Pair& next = pair_at(count);
+    next.s.resize(n);
+    next.y.resize(n);
     for (size_t k = 0; k < n; ++k) {
-      s[k] = x_new[k] - (*x)[k];
-      y[k] = grad_new[k] - grad[k];
+      next.s[k] = x_new[k] - (*x)[k];
+      next.y[k] = grad_new[k] - grad[k];
     }
-    double sy = DotD(s, y);
+    double sy = DotD(next.s, next.y);
     if (sy > 1e-10) {
-      s_list.push_back(std::move(s));
-      y_list.push_back(std::move(y));
-      rho_list.push_back(1.0 / sy);
-      if (static_cast<int>(s_list.size()) > options.memory) {
-        s_list.pop_front();
-        y_list.pop_front();
-        rho_list.pop_front();
+      next.rho = 1.0 / sy;
+      if (count == memory) {
+        head = (head + 1) % ring.size();
+      } else {
+        ++count;
       }
     }
 
@@ -178,8 +190,8 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
         << "OWL-QN: accepted iterate contains non-finite weights";
     PAE_DCHECK_FINITE_VEC(grad_new)
         << "OWL-QN: accepted gradient contains non-finite entries";
-    *x = x_new;
-    grad = grad_new;
+    x->swap(x_new);
+    grad.swap(grad_new);
     obj = obj_new;
     report->iterations = iter + 1;
     report->objective_history.push_back(obj);

@@ -105,6 +105,12 @@ inline size_t NumReductionShards(size_t n, size_t grain, size_t max_shards) {
   return shards < max_shards ? shards : max_shards;
 }
 
+/// First item of shard `s` of `shards` over [0, n): shard s covers
+/// [ReductionShardBegin(s, ...), ReductionShardBegin(s + 1, ...)).
+inline size_t ReductionShardBegin(size_t s, size_t n, size_t shards) {
+  return s * n / shards;
+}
+
 /// Deterministic ordered reduction over [0, n).
 ///
 /// The range splits into NumReductionShards(n, grain, max_shards)
@@ -127,8 +133,8 @@ void OrderedReduce(ThreadPool& pool, size_t n, size_t grain,
   states.reserve(shards);
   for (size_t s = 0; s < shards; ++s) states.push_back(make_state());
   pool.ParallelFor(0, shards, 1, [&](size_t s) {
-    const size_t lo = s * n / shards;
-    const size_t hi = (s + 1) * n / shards;
+    const size_t lo = ReductionShardBegin(s, n, shards);
+    const size_t hi = ReductionShardBegin(s + 1, n, shards);
     State& state = states[s];
     for (size_t i = lo; i < hi; ++i) item(state, i);
   });

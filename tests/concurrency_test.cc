@@ -178,7 +178,8 @@ TEST(ConcurrencyTest, ShardedWord2VecIdenticalAcrossThreadCounts) {
   for (int i = 0; i < 300; ++i) {
     std::vector<std::string> sentence;
     for (int k = 0; k < 8; ++k) {
-      sentence.push_back("w" + std::to_string(rng.NextBounded(150)));
+      sentence.push_back(
+          std::string("w").append(std::to_string(rng.NextBounded(150))));
     }
     corpus.push_back(std::move(sentence));
   }
@@ -198,7 +199,7 @@ TEST(ConcurrencyTest, ShardedWord2VecIdenticalAcrossThreadCounts) {
   ASSERT_EQ(serial.vocab_size(), parallel.vocab_size());
   size_t compared = 0;
   for (int w = 0; w < 150; ++w) {
-    const std::string word = "w" + std::to_string(w);
+    const std::string word = std::string("w").append(std::to_string(w));
     const float* va = serial.Vector(word);
     const float* vb = parallel.Vector(word);
     ASSERT_EQ(va == nullptr, vb == nullptr) << word;

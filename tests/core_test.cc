@@ -115,7 +115,7 @@ CandidateSet MakeCandidates(
     pair.value = value;
     pair.count = count;
     for (int i = 0; i < count; ++i) {
-      pair.product_ids.push_back("p" + std::to_string(i));
+      pair.product_ids.push_back(std::string("p").append(std::to_string(i)));
     }
     set.pairs.push_back(std::move(pair));
   }
@@ -281,7 +281,7 @@ TEST(SemanticCleanerTest, RemovesDriftedValues) {
   const std::vector<std::string> colors = {"rot", "blau", "gruen", "weiss"};
   for (int i = 0; i < 500; ++i) {
     ProductPage page;
-    page.product_id = "p" + std::to_string(i);
+    page.product_id = std::string("p").append(std::to_string(i));
     const std::string c1 = colors[rng.NextBounded(4)];
     const std::string c2 = colors[rng.NextBounded(4)];
     page.html = "<p>farbe ist " + c1 + " und " + c2 + " lack.</p>" +
@@ -346,7 +346,7 @@ TEST(SemanticCleanerTest, CachedNormScoringMatchesPerPairCosines) {
   const std::vector<std::string> colors = {"rot", "blau", "gruen", "weiss"};
   for (int i = 0; i < 300; ++i) {
     ProductPage page;
-    page.product_id = "p" + std::to_string(i);
+    page.product_id = std::string("p").append(std::to_string(i));
     const std::string c1 = colors[rng.NextBounded(4)];
     const std::string c2 = colors[rng.NextBounded(4)];
     page.html = "<p>farbe ist " + c1 + " und " + c2 + " lack.</p>" +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <thread>
 
 #include "crf/crf_model.h"
@@ -156,6 +157,14 @@ TEST(OwlqnTest, RosenbrockConverges) {
 
 // ---------------- CRF model core ----------------
 
+/// SequenceNll with potentials built fresh for this one call.
+double FreshNll(const CrfModel& model, const CompiledSequence& seq,
+                std::span<const double> w, std::vector<double>* grad) {
+  ScaledPotentials potentials;
+  model.BuildPotentials(w, &potentials);
+  return model.SequenceNll(seq, w, potentials, grad);
+}
+
 /// Builds a tiny model with known labels/features and a random compiled
 /// sequence for gradient/inference checks.
 struct TinyCrf {
@@ -167,10 +176,10 @@ struct TinyCrf {
                    size_t num_features = 5, size_t length = 4) {
     Rng rng(seed);
     for (size_t y = 0; y < num_labels; ++y) {
-      model.AddLabel("L" + std::to_string(y));
+      model.AddLabel(std::string("L").append(std::to_string(y)));
     }
     for (size_t f = 0; f < num_features; ++f) {
-      model.AddFeature("F" + std::to_string(f));
+      model.AddFeature(std::string("F").append(std::to_string(f)));
     }
     seq.features.resize(length);
     seq.labels.resize(length);
@@ -202,7 +211,7 @@ TEST(CrfModelTest, MarginalsSumToOne) {
 TEST(CrfModelTest, NllIsNonNegativeLogProb) {
   TinyCrf tiny(22);
   std::vector<double> grad(tiny.weights.size(), 0.0);
-  const double nll = tiny.model.SequenceNll(tiny.seq, tiny.weights, &grad);
+  const double nll = FreshNll(tiny.model, tiny.seq, tiny.weights, &grad);
   EXPECT_GE(nll, 0.0);  // -log p ≥ 0
 }
 
@@ -212,7 +221,7 @@ class CrfGradientTest : public ::testing::TestWithParam<int> {};
 TEST_P(CrfGradientTest, AnalyticMatchesNumeric) {
   TinyCrf tiny(static_cast<uint64_t>(GetParam()) * 131 + 7);
   std::vector<double> grad(tiny.weights.size(), 0.0);
-  tiny.model.SequenceNll(tiny.seq, tiny.weights, &grad);
+  FreshNll(tiny.model, tiny.seq, tiny.weights, &grad);
 
   Rng rng(static_cast<uint64_t>(GetParam()) + 500);
   const double eps = 1e-6;
@@ -222,9 +231,9 @@ TEST_P(CrfGradientTest, AnalyticMatchesNumeric) {
     wp[i] += eps;
     wm[i] -= eps;
     std::vector<double> dummy(tiny.weights.size(), 0.0);
-    const double fp = tiny.model.SequenceNll(tiny.seq, wp, &dummy);
+    const double fp = FreshNll(tiny.model, tiny.seq, wp, &dummy);
     dummy.assign(tiny.weights.size(), 0.0);
-    const double fm = tiny.model.SequenceNll(tiny.seq, wm, &dummy);
+    const double fm = FreshNll(tiny.model, tiny.seq, wm, &dummy);
     const double numeric = (fp - fm) / (2 * eps);
     EXPECT_NEAR(grad[i], numeric, 1e-4)
         << "weight index " << i;
@@ -244,9 +253,11 @@ struct RandomCrf {
 
   RandomCrf(uint64_t seed, size_t num_labels, double sigma) : rng(seed) {
     for (size_t y = 0; y < num_labels; ++y) {
-      model.AddLabel("L" + std::to_string(y));
+      model.AddLabel(std::string("L").append(std::to_string(y)));
     }
-    for (size_t f = 0; f < 30; ++f) model.AddFeature("F" + std::to_string(f));
+    for (size_t f = 0; f < 30; ++f) {
+      model.AddFeature(std::string("F").append(std::to_string(f)));
+    }
     weights.resize(model.WeightDim());
     for (double& w : weights) w = rng.NextGaussian() * sigma;
   }
@@ -281,7 +292,7 @@ struct RandomCrf {
 void ExpectMatchesOracle(const RandomCrf& crf, const CompiledSequence& seq) {
   const size_t dim = crf.weights.size();
   std::vector<double> grad(dim, 0.0), want_grad(dim, 0.0);
-  const double nll = crf.model.SequenceNll(seq, crf.weights, &grad);
+  const double nll = FreshNll(crf.model, seq, crf.weights, &grad);
   const double want = oracle::LogSpaceSequenceNll(crf.model, seq,
                                                   crf.weights, &want_grad);
   ASSERT_TRUE(std::isfinite(nll));
@@ -336,9 +347,11 @@ TEST(CrfScaledKernelTest, MarginalsSumToOneAndMatchLogSpace) {
         RandomCrf crf(seed++, labels, 5.0);
         if (spread > 0) crf.SpreadTransitions(spread);
         const CompiledSequence seq = crf.Sequence(length);
+        ScaledPotentials potentials;
+        crf.model.BuildPotentials(crf.weights, &potentials);
         ScaledLattice lattice;
-        ASSERT_TRUE(std::isfinite(
-            crf.model.ScaledForwardBackward(seq, crf.weights, &lattice)));
+        ASSERT_TRUE(std::isfinite(crf.model.ScaledForwardBackward(
+            seq, crf.weights, potentials, &lattice)));
         std::vector<double> log_space;
         crf.model.Marginals(seq, crf.weights, &log_space);
         for (size_t t = 0; t < length; ++t) {
@@ -369,10 +382,10 @@ TEST(CrfScaledKernelTest, ReusedWorkspaceDoesNotChangeShortSequence) {
     std::thread([&] {
       if (before != nullptr) {
         std::vector<double> scratch(dim, 0.0);
-        crf.model.SequenceNll(*before, crf.weights, &scratch);
+        FreshNll(crf.model, *before, crf.weights, &scratch);
       }
       grad->assign(dim, 0.0);
-      *nll = crf.model.SequenceNll(single, crf.weights, grad);
+      *nll = FreshNll(crf.model, single, crf.weights, grad);
     }).join();
   };
   double fresh_nll = 0, reused_nll = 0;
@@ -381,6 +394,35 @@ TEST(CrfScaledKernelTest, ReusedWorkspaceDoesNotChangeShortSequence) {
   score(&longest, &reused_nll, &reused_grad);
   EXPECT_EQ(fresh_nll, reused_nll);
   EXPECT_EQ(fresh_grad, reused_grad);
+}
+
+TEST(CrfScaledKernelTest, SharedPotentialsMatchPerSequencePotentials) {
+  // Training builds the potentials once per weight vector and scores
+  // every sequence against them. One struct shared by many sequences of
+  // mixed lengths must give the same bits as a struct built fresh for
+  // each sequence, spread ±100 transitions included.
+  uint64_t seed = 1200;
+  for (size_t labels : {1, 3, 15, 25}) {
+    for (double spread : {0.0, 100.0}) {
+      SCOPED_TRACE(::testing::Message() << "L=" << labels
+                                        << " spread=" << spread);
+      RandomCrf crf(seed++, labels, 1.0);
+      if (spread > 0) crf.SpreadTransitions(spread);
+      ScaledPotentials shared;
+      crf.model.BuildPotentials(crf.weights, &shared);
+      const size_t dim = crf.weights.size();
+      for (size_t length : {5, 1, 200, 2, 7, 4}) {
+        const CompiledSequence seq = crf.Sequence(length);
+        std::vector<double> shared_grad(dim, 0.0), fresh_grad(dim, 0.0);
+        const double shared_nll =
+            crf.model.SequenceNll(seq, crf.weights, shared, &shared_grad);
+        const double fresh_nll =
+            FreshNll(crf.model, seq, crf.weights, &fresh_grad);
+        EXPECT_EQ(shared_nll, fresh_nll) << "T=" << length;
+        EXPECT_EQ(shared_grad, fresh_grad) << "T=" << length;
+      }
+    }
+  }
 }
 
 // Viterbi against brute-force enumeration.

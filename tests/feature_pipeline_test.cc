@@ -192,7 +192,12 @@ void TrainReferenceStringPipeline(
         [&, next = size_t{0}]() mutable { return next++; },
         [&](size_t shard, size_t i) {
           if (shard_grads[shard].empty()) shard_grads[shard].assign(dim, 0.0);
-          shard_nll[shard] += model->SequenceNll(compiled[i], w,
+          // Potentials built per sequence, where the tagger builds them
+          // once per evaluation: the byte-equality below checks that
+          // sharing them changes nothing.
+          ScaledPotentials potentials;
+          model->BuildPotentials(w, &potentials);
+          shard_nll[shard] += model->SequenceNll(compiled[i], w, potentials,
                                                  &shard_grads[shard]);
         },
         [&](size_t shard, size_t) {

@@ -138,7 +138,9 @@ TEST(FlatStringInternerTest, ReserveDoesNotDisturbContents) {
   interner.Reserve(100000);
   EXPECT_EQ(interner.Find("a"), 0);
   EXPECT_EQ(interner.Find("b"), 1);
-  for (int i = 0; i < 1000; ++i) interner.Intern("k" + std::to_string(i));
+  for (int i = 0; i < 1000; ++i) {
+    interner.Intern(std::string("k").append(std::to_string(i)));
+  }
   EXPECT_EQ(interner.size(), 1002u);
 }
 
@@ -148,13 +150,17 @@ TEST(FlatStringInternerTest, ReservePreAllocatesTheProbeTable) {
   const size_t reserved_capacity = interner.capacity();
   // 10000 keys fit under the interner's load factor, so the bulk build
   // never rehashes: capacity is untouched by the inserts.
-  for (int i = 0; i < 10000; ++i) interner.Intern("k" + std::to_string(i));
+  for (int i = 0; i < 10000; ++i) {
+    interner.Intern(std::string("k").append(std::to_string(i)));
+  }
   EXPECT_EQ(interner.capacity(), reserved_capacity);
   EXPECT_EQ(interner.size(), 10000u);
   // An unreserved build of the same keys goes through the doubling
   // storm and lands on the same final capacity or smaller.
   FlatStringInterner unreserved;
-  for (int i = 0; i < 10000; ++i) unreserved.Intern("k" + std::to_string(i));
+  for (int i = 0; i < 10000; ++i) {
+    unreserved.Intern(std::string("k").append(std::to_string(i)));
+  }
   EXPECT_LE(unreserved.capacity(), reserved_capacity);
 }
 

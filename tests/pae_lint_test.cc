@@ -566,5 +566,28 @@ TEST(Allowlist, EmptyAllowlistKeepsEverything) {
   EXPECT_EQ(ApplyAllowlist(vs, {}).size(), 1u);
 }
 
+TEST(Allowlist, EntryMatchingNothingIsStale) {
+  const std::vector<AllowlistEntry> entries = ParseAllowlist(
+      "raw-random src/crf/foo.cc\n"
+      "naked-assert src/crf/foo.cc\n"
+      "raw-random tests/foo_test.cc\n"
+      "raw-random srcx/foo.cc\n");
+  const std::vector<Violation> vs = {{"src/crf/foo.cc", 3, "raw-random", "m"}};
+  // Only trees that were linted can show an entry stale: "srcx" is not
+  // "src", and tests/ was not scanned.
+  std::vector<AllowlistEntry> stale =
+      StaleAllowlistEntries(vs, entries, {"src"});
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_EQ(stale[0].rule, "naked-assert");
+  EXPECT_EQ(stale[0].file, "src/crf/foo.cc");
+
+  stale = StaleAllowlistEntries(vs, entries, {"src", "tests", "srcx"});
+  ASSERT_EQ(stale.size(), 3u);
+  EXPECT_EQ(stale[1].file, "tests/foo_test.cc");
+  EXPECT_EQ(stale[2].file, "srcx/foo.cc");
+
+  EXPECT_TRUE(StaleAllowlistEntries({}, {}, {"src"}).empty());
+}
+
 }  // namespace
 }  // namespace pae::lint

@@ -29,7 +29,7 @@ ProcessedCorpus TableCorpus(
   int id = 0;
   for (const auto& rows : pages) {
     ProductPage page;
-    page.product_id = "p" + std::to_string(id++);
+    page.product_id = std::string("p").append(std::to_string(id++));
     std::string html = "<table>";
     for (const auto& [k, v] : rows) {
       html += "<tr><th>" + k + "</th><td>" + v + "</td></tr>";

@@ -148,7 +148,8 @@ TEST(GenerationCellTest, PublisherRunsAheadUntilSlotReuse) {
   // Slots 2..kSlots and slot 0 are free: kSlots - 1 more publishes must
   // not block. Reusing slot 1 (generation kSlots + 1) would.
   for (size_t i = 2; i <= serve::GenerationCell::kSlots; ++i) {
-    EXPECT_EQ(cell.Publish(MakeStubEngine("g" + std::to_string(i))), i);
+    const std::string name = std::string("g").append(std::to_string(i));
+    EXPECT_EQ(cell.Publish(MakeStubEngine(name)), i);
   }
   // Release in a helper thread, then the blocked publish completes.
   std::thread releaser([&lease] {
@@ -337,7 +338,8 @@ TEST(ExtractionEngineTest, ScratchReuseAllocatesNoNewScratches) {
   engine->Extract("warm", kPageHtml, scratch.get());
   const int64_t before = created->value();
   for (int i = 0; i < 100; ++i) {
-    engine->Extract("p" + std::to_string(i), kPageHtml, scratch.get());
+    engine->Extract(std::string("p").append(std::to_string(i)), kPageHtml,
+                    scratch.get());
   }
   // Steady state: the pre-allocated scratch serves every request; no
   // request-path Scratch construction (the model-sized state lives in
@@ -738,7 +740,8 @@ TEST(ServerSmokeTest, ResponsesIdenticalAtOneAndEightClientThreads) {
   for (int i = 0; i < 400; ++i) {
     const uint64_t product = serve::NURand(7, 3, kProducts, rng);
     requests.push_back(serve::EncodeExtractRequest(
-        {"p" + std::to_string(product), pages[product % pages.size()]}));
+        {std::string("p").append(std::to_string(product)),
+         pages[product % pages.size()]}));
   }
 
   auto serve_all = [&](size_t threads) {

@@ -286,7 +286,9 @@ TEST(VocabTest, HeterogeneousStringViewLookup) {
 TEST(VocabTest, WordViewsStableAcrossGrowth) {
   Vocab v;
   const std::string_view early = v.Word(v.GetOrAdd("anchor"));
-  for (int i = 0; i < 5000; ++i) v.GetOrAdd("w" + std::to_string(i));
+  for (int i = 0; i < 5000; ++i) {
+    v.GetOrAdd(std::string("w").append(std::to_string(i)));
+  }
   EXPECT_EQ(early, "anchor");  // interner arena never reallocates keys
   EXPECT_EQ(v.Lookup(early), 1);
 }

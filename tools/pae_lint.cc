@@ -5,10 +5,12 @@
 // Scans every .h/.cc under each ROOT_DIR (default: src) for violations
 // of the project rules documented in pae_lint_lib.h, prints each one as
 // file:line: [rule] message, and exits non-zero if any remain after
-// applying the allowlist. Registered as a ctest target so `ctest`
+// applying the allowlist or if an allowlist entry for a linted tree
+// matches nothing. Registered as a ctest target so `ctest`
 // catches regressions alongside the unit tests.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -53,22 +55,20 @@ int main(int argc, char** argv) {
     std::vector<pae::lint::Violation> v = pae::lint::LintTree(root);
     violations.insert(violations.end(), v.begin(), v.end());
   }
-  // Flag allowlist entries that no longer match anything so stale
-  // grandfather clauses get cleaned up (warning only, not an error).
-  for (const pae::lint::AllowlistEntry& e : allowlist) {
-    bool used = false;
-    for (const pae::lint::Violation& v : violations) {
-      if (v.rule == e.rule && v.file == e.file) {
-        used = true;
-        break;
-      }
-    }
-    if (!used) {
-      std::fprintf(stderr,
-                   "pae_lint: warning: allowlist entry '%s %s' matched "
-                   "nothing; consider removing it\n",
-                   e.rule.c_str(), e.file.c_str());
-    }
+  // An allowlist entry that matches nothing is an error: the list only
+  // shrinks, and a stale grandfather clause would silently re-admit the
+  // violation it once covered.
+  std::vector<std::string> linted_trees;
+  for (const std::string& root : roots) {
+    linted_trees.push_back(std::filesystem::path(root).filename().string());
+  }
+  const std::vector<pae::lint::AllowlistEntry> stale =
+      pae::lint::StaleAllowlistEntries(violations, allowlist, linted_trees);
+  for (const pae::lint::AllowlistEntry& e : stale) {
+    std::fprintf(stderr,
+                 "pae_lint: error: allowlist entry '%s %s' matched "
+                 "nothing; remove it\n",
+                 e.rule.c_str(), e.file.c_str());
   }
 
   const size_t before = violations.size();
@@ -77,8 +77,12 @@ int main(int argc, char** argv) {
   for (const pae::lint::Violation& v : violations) {
     std::printf("%s\n", v.ToString().c_str());
   }
-  if (!violations.empty()) {
-    std::fprintf(stderr, "pae_lint: %zu violation(s)\n", violations.size());
+  if (!violations.empty() || !stale.empty()) {
+    std::fprintf(stderr,
+                 "pae_lint: %zu violation(s), %zu stale allowlist "
+                 "entr%s\n",
+                 violations.size(), stale.size(),
+                 stale.size() == 1 ? "y" : "ies");
     return 1;
   }
   std::fprintf(stderr, "pae_lint: clean (%zu suppressed by allowlist)\n",

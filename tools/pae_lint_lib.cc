@@ -555,6 +555,26 @@ std::vector<Violation> ApplyAllowlist(
   return violations;
 }
 
+std::vector<AllowlistEntry> StaleAllowlistEntries(
+    const std::vector<Violation>& violations,
+    const std::vector<AllowlistEntry>& allowlist,
+    const std::vector<std::string>& linted_trees) {
+  std::vector<AllowlistEntry> stale;
+  for (const AllowlistEntry& e : allowlist) {
+    const bool linted = std::any_of(
+        linted_trees.begin(), linted_trees.end(), [&](const std::string& t) {
+          return e.file.size() > t.size() && e.file.rfind(t, 0) == 0 &&
+                 e.file[t.size()] == '/';
+        });
+    const bool used = std::any_of(
+        violations.begin(), violations.end(), [&](const Violation& v) {
+          return v.rule == e.rule && v.file == e.file;
+        });
+    if (linted && !used) stale.push_back(e);
+  }
+  return stale;
+}
+
 std::vector<Violation> LintTree(const std::string& root_dir) {
   namespace fs = std::filesystem;
   const fs::path root(root_dir);

@@ -121,6 +121,17 @@ std::vector<Violation> ApplyAllowlist(
     std::vector<Violation> violations,
     const std::vector<AllowlistEntry>& allowlist);
 
+/// Allowlist entries that grandfather nothing: no violation in
+/// `violations` has their (rule, file) pair. Only entries whose file
+/// lies in one of `linted_trees` (the top-level names LintTree prefixes
+/// paths with, e.g. "src") are judged; a tree that was not linted
+/// cannot show an entry stale. The allowlist may only shrink, so the
+/// linter treats each of these as an error.
+std::vector<AllowlistEntry> StaleAllowlistEntries(
+    const std::vector<Violation>& violations,
+    const std::vector<AllowlistEntry>& allowlist,
+    const std::vector<std::string>& linted_trees);
+
 /// Lints every .h/.cc file under `root_dir` (a directory on disk whose
 /// basename becomes the path prefix, e.g. <repo>/src). Files are visited
 /// in sorted path order so output is deterministic.
