@@ -419,11 +419,48 @@ void BM_FeatureCompileCached(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureCompileCached)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
 
+// The bootstrap's CRF training shape: O plus B-/I- tags for
+// (labels − 1) / 2 attributes, sentences of 3–7 tokens (mean 5) with
+// one attribute value each, and a vocabulary that leaves ~1000 features.
+std::vector<text::LabeledSequence> MakeBootstrapShapedData(size_t labels,
+                                                           int sequences) {
+  Rng rng(8);
+  const size_t attributes = (labels - 1) / 2;
+  std::vector<text::LabeledSequence> data;
+  for (int i = 0; i < sequences; ++i) {
+    text::LabeledSequence seq;
+    const size_t length = 3 + rng.NextBounded(5);
+    const size_t attribute = rng.NextBounded(attributes);
+    const size_t value_at = rng.NextBounded(length - 1);
+    const size_t value_len = 1 + rng.NextBounded(2);
+    for (size_t t = 0; t < length; ++t) {
+      if (t >= value_at && t < value_at + value_len) {
+        const std::string name = std::to_string(attribute);
+        seq.tokens.push_back(std::string("v").append(name).append(
+            std::to_string(rng.NextBounded(10))));
+        seq.pos.push_back("NN");
+        seq.labels.push_back(
+            std::string(t == value_at ? "B-" : "I-").append(name));
+      } else {
+        seq.tokens.push_back(
+            std::string("w").append(std::to_string(rng.NextBounded(70))));
+        seq.pos.push_back(rng.Bernoulli(0.5) ? "PRT" : "VB");
+        seq.labels.push_back("O");
+      }
+    }
+    data.push_back(std::move(seq));
+  }
+  return data;
+}
+
 void BM_CrfObjective(benchmark::State& state) {
   // One NLL+gradient evaluation over a compiled training set, as Train
   // runs it: potentials built once per evaluation, sparse per-shard
-  // accumulators with touched lists built once; Arg = thread count.
-  const std::vector<text::LabeledSequence> data = MakeCrfTrainData(200);
+  // accumulators with touched lists built once. Args = labels, threads:
+  // 15 labels is the bootstrap's shape; 3 keeps small-L costs (call
+  // overhead, partial SIMD groups) visible.
+  const std::vector<text::LabeledSequence> data = MakeBootstrapShapedData(
+      static_cast<size_t>(state.range(0)), 200);
   crf::CrfOptions options;
   options.max_iterations = 1;
   options.trainer = crf::CrfTrainer::kAdagrad;
@@ -477,7 +514,7 @@ void BM_CrfObjective(benchmark::State& state) {
       in_shard[f] = 0;
     }
   }
-  util::ThreadPool pool(static_cast<int>(state.range(0)));
+  util::ThreadPool pool(static_cast<int>(state.range(1)));
   std::vector<double> grad(dim, 0.0);
   crf::ScaledPotentials potentials;
   for (auto _ : state) {
@@ -511,8 +548,15 @@ void BM_CrfObjective(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(compiled.size()));
+  state.counters["labels"] = static_cast<double>(L);
+  state.counters["features"] = static_cast<double>(model.num_features());
 }
-BENCHMARK(BM_CrfObjective)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_CrfObjective)
+    ->ArgNames({"labels", "threads"})
+    ->Args({15, 1})
+    ->Args({15, 2})
+    ->Args({15, 4})
+    ->Args({3, 1});
 
 void BM_Word2VecTrainSharded(benchmark::State& state) {
   // Sharded word2vec epochs; Arg = thread count at a fixed shard count
@@ -595,38 +639,54 @@ void BM_SimdMatVec(benchmark::State& state) {
 BENCHMARK(BM_SimdMatVec)->ArgName("isa")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdWord2VecStep(benchmark::State& state) {
-  // The word2vec negative-sampling update for one center word exactly as
-  // embed/word2vec.cc issues it: per sample a Dot plus two Axpys into the
-  // output vector and gradient buffer, then one Axpy back into the input
-  // vector. 1 positive + 5 negatives (the `negative` default) at
-  // dim 128; the per-sample sigmoid is a fixed scalar cost, so smaller
-  // dims shift the measurement from the kernels to libm.
+  // One (center, context) pair of word2vec training, the kernel call
+  // embed/word2vec.cc issues: 1 positive + 5 negatives (the `negative`
+  // default) over a 380-word output matrix, the bootstrap's vocabulary.
+  // Args = isa, dim; 32 is the bootstrap's dim. The six libm sigmoids
+  // are a fixed cost, so larger dims weigh the vector work more.
   math::kernels::Isa prev;
   if (!EnterIsa(state, &prev)) return;
-  constexpr size_t kDim = 128;
-  constexpr int kSamples = 6;
+  const size_t dim = static_cast<size_t>(state.range(1));
+  constexpr size_t kVocab = 380;
+  const int32_t targets[6] = {17, 250, 3, 96, 311, 42};
   Rng rng(11);
-  std::vector<float> vin(kDim), grad_in(kDim);
-  std::vector<std::vector<float>> vouts(kSamples, std::vector<float>(kDim));
+  std::vector<float> vin(dim), out(kVocab * dim);
   FillGaussian(&rng, &vin);
-  for (auto& vout : vouts) FillGaussian(&rng, &vout);
+  FillGaussian(&rng, &out);
+  for (float& x : vin) x *= 0.1f;
+  for (float& x : out) x *= 0.1f;
   for (auto _ : state) {
-    std::fill(grad_in.begin(), grad_in.end(), 0.0f);
-    for (int s = 0; s < kSamples; ++s) {
-      float* vout = vouts[static_cast<size_t>(s)].data();
-      const double dot = math::kernels::Dot(vin.data(), vout, kDim);
-      const float label = s == 0 ? 1.0f : 0.0f;
-      const float pred = 1.0f / (1.0f + static_cast<float>(std::exp(-dot)));
-      const float g = 0.025f * (label - pred);
-      math::kernels::Axpy(g, vout, grad_in.data(), kDim);
-      math::kernels::Axpy(g, vin.data(), vout, kDim);
-    }
-    math::kernels::Axpy(1.0f, grad_in.data(), vin.data(), kDim);
+    math::kernels::SkipGramPair(vin.data(), out.data(), targets, 6, 0.025f,
+                                dim);
     benchmark::DoNotOptimize(vin.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   math::kernels::SetIsa(prev);
 }
-BENCHMARK(BM_SimdWord2VecStep)->ArgName("isa")->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SimdWord2VecStep)
+    ->ArgNames({"isa", "dim"})
+    ->ArgsProduct({{0, 1, 2}, {32, 128}});
+
+void BM_SimdCrfMatTMat(benchmark::State& state) {
+  // One forward step of the CRF's scaled forward–backward at the
+  // bootstrap's 15 labels: alpha_{t-1} · exp(trans), 15 × 15.
+  math::kernels::Isa prev;
+  if (!EnterIsa(state, &prev)) return;
+  constexpr size_t kLabels = 15;
+  Rng rng(12);
+  std::vector<double> alpha(kLabels), trans(kLabels * kLabels), out(kLabels);
+  for (double& x : alpha) x = rng.NextDouble();
+  for (double& x : trans) x = rng.NextDouble();
+  for (auto _ : state) {
+    math::kernels::MatTMatD(alpha.data(), 1, 1, trans.data(), kLabels,
+                            kLabels, kLabels, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  math::kernels::SetIsa(prev);
+}
+BENCHMARK(BM_SimdCrfMatTMat)->ArgName("isa")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SimdLstmStep(benchmark::State& state) {
   // One fused LSTM timestep (gate preactivations + activations) at the

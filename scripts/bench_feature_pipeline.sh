@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Runs the CRF feature-pipeline microbenchmarks (extraction, compilation,
-# objective — string baseline vs interned vs cached, each at 1/2/4
-# threads — plus the per-sequence NLL + gradient kernel at 9/17/25
-# labels × 15 tokens and at the bootstrap's shape, 15 labels × 5 tokens)
-# and writes the google-benchmark JSON report to
-# BENCH_feature_pipeline.json in the repository root.
+# Runs the CRF feature-pipeline microbenchmarks (extraction and
+# compilation — string baseline vs interned vs cached, each at 1/2/4
+# threads; the training objective at the bootstrap's shape, 15 labels ×
+# ~5 tokens × ~1000 features, at 1/2/4 threads and at 3 labels on 1
+# thread; the per-sequence NLL + gradient at 9/17/25 labels × 15 tokens
+# and at 15 labels × 5 tokens) and writes the google-benchmark JSON
+# report to BENCH_feature_pipeline.json in the repository root.
 #
 #   scripts/bench_feature_pipeline.sh [build-dir]   # default: build-bench
 

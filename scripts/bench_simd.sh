@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Runs the SIMD kernel-layer microbenchmarks (Dot, MatVec, the word2vec
-# negative-sampling step, the fused LSTM timestep, the batched MatMul
-# GEMM and the batched LSTM-layer pass — each at every ISA tier the host
-# supports, the batched ones additionally at B ∈ {1, 8, 32}) and writes
-# the google-benchmark JSON report to BENCH_simd_kernels.json in the
+# pair kernel at dim 32 and 128, one CRF forward step at 15 labels, the
+# fused LSTM timestep, the batched MatMul GEMM and the batched
+# LSTM-layer pass — each at every ISA tier the host supports, the
+# batched ones additionally at B ∈ {1, 8, 32}) and writes the
+# google-benchmark JSON report to BENCH_simd_kernels.json in the
 # repository root.
 #
 #   scripts/bench_simd.sh [build-dir]   # default: build-bench

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "math/kernels.h"
 #include "math/vec.h"
 #include "util/logging.h"
 
@@ -16,14 +17,6 @@ double ExpShifted(const double* x, size_t n, double* out) {
   for (size_t i = 1; i < n; ++i) m = std::max(m, x[i]);
   for (size_t i = 0; i < n; ++i) out[i] = std::exp(x[i] - m);
   return m;
-}
-
-/// Σ a[i*stride] * b[i*stride] over i < n, in index order; a stride of
-/// L walks one column each of two row-major T×L arrays.
-double DotD(const double* a, const double* b, size_t n, size_t stride = 1) {
-  double s = 0;
-  for (size_t i = 0; i < n; ++i) s += a[i * stride] * b[i * stride];
-  return s;
 }
 
 /// SequenceNll's workspace: training runs it concurrently on pool
@@ -169,56 +162,44 @@ double CrfModel::ScaledForwardBackward(const CompiledSequence& seq,
   lattice->alpha.resize(T * L);
   lattice->beta.resize(T * L);
   lattice->scale.resize(T);
+  lattice->shift.resize(T);
   const double* scores = lattice->scores.data();
   double* emit = lattice->emit.data();
   double* alpha = lattice->alpha.data();
   double* beta = lattice->beta.data();
   double* scale = lattice->scale.data();
-  const double* exp_trans = potentials.trans.data();
-  const double* exp_trans_t = potentials.trans_t.data();
+  double* shift = lattice->shift.data();
   const double* exp_start = potentials.start.data();
   const double* exp_end = potentials.end.data();
 
+  // E_t for every position first: the recursions below need only E and
+  // the potentials, and the per-position maxima go back into log Z.
+  for (size_t t = 0; t < T; ++t) {
+    shift[t] = ExpShifted(scores + t * L, L, emit + t * L);
+  }
+  // Forward: alpha_t = E_t ⊙ (alpha_{t-1} · exp(trans)) / c_t, with
+  // exp(start) in place of the product at t = 0.
+  const double end_mass =
+      math::kernels::ChainForwardD(emit, potentials.trans.data(), exp_start,
+                                   exp_end, T, L, alpha, scale);
   // Each block max taken out of the potentials is added back to log Z:
   // the transition max once per transition, start and end once each.
   double log_z = potentials.max_trans * static_cast<double>(T - 1) +
                  potentials.max_start + potentials.max_end;
-
-  // Forward: alpha_t = E_t ⊙ (alpha_{t-1} · exp(trans)) / c_t, with
-  // exp(start) in place of the product at t = 0.
   for (size_t t = 0; t < T; ++t) {
-    double* a = alpha + t * L;
-    double* e = emit + t * L;
-    log_z += ExpShifted(scores + t * L, L, e);
-    double c = 0;
-    for (size_t y = 0; y < L; ++y) {
-      const double in =
-          t == 0 ? exp_start[y] : DotD(a - L, exp_trans_t + y * L, L);
-      a[y] = e[y] * in;
-      c += a[y];
-    }
-    scale[t] = c;
-    log_z += std::log(c);
-    const double inv = 1.0 / c;
-    for (size_t y = 0; y < L; ++y) a[y] *= inv;
+    log_z += shift[t];
+    log_z += std::log(scale[t]);
   }
-  const double end_mass = DotD(alpha + (T - 1) * L, exp_end, L);
   log_z += std::log(end_mass);
 
   // Backward with the forward scales: beta_{T-1} = exp(end) / end_mass,
   // then q_t = E_t ⊙ beta_t / c_t (stored over E_t) and
-  // beta_{t-1} = exp(trans) · q_t.
+  // beta_{t-1} = exp(trans) · q_t = q_t · exp(trans)ᵀ.
   for (size_t y = 0; y < L; ++y) {
     beta[(T - 1) * L + y] = exp_end[y] / end_mass;
   }
-  for (size_t t = T - 1; t > 0; --t) {
-    double* q = emit + t * L;
-    const double inv = 1.0 / scale[t];
-    for (size_t y = 0; y < L; ++y) q[y] *= beta[t * L + y] * inv;
-    for (size_t yp = 0; yp < L; ++yp) {
-      beta[(t - 1) * L + yp] = DotD(exp_trans + yp * L, q, L);
-    }
-  }
+  math::kernels::ChainBackwardD(potentials.trans_t.data(), scale, T, L, emit,
+                                beta);
   return log_z;
 }
 
@@ -287,16 +268,16 @@ double CrfModel::SequenceNll(const CompiledSequence& seq,
   }
   // Pairwise expectations for transitions:
   //   p(y_{t-1} = yp, y_t = y) = alpha_{t-1}(yp) exp(trans)(yp, y) q_t(y),
-  // summed over t as one column dot product per (yp, y) — the L×L
-  // product alpha_{0..T-2}ᵀ q_{1..T-1} — scaled by exp(trans) once.
+  // summed over t — the L×L product alpha_{0..T-2}ᵀ q_{1..T-1} — and
+  // scaled by exp(trans) once.
   if (T > 1) {
-    const double* q = lattice.emit.data() + L;
+    std::vector<double>& pairwise = lattice.pairwise;
+    pairwise.resize(L * L);
+    math::kernels::MatTMatD(alpha, L, L, lattice.emit.data() + L, L, T - 1, L,
+                            pairwise.data());
     const double* exp_trans = potentials.trans.data();
-    for (size_t yp = 0; yp < L; ++yp) {
-      for (size_t y = 0; y < L; ++y) {
-        g_trans[yp * L + y] +=
-            exp_trans[yp * L + y] * DotD(alpha + yp, q + y, T - 1, L);
-      }
+    for (size_t i = 0; i < L * L; ++i) {
+      g_trans[i] += exp_trans[i] * pairwise[i];
     }
   }
   PAE_DCHECK_FINITE(gold);

@@ -28,7 +28,8 @@ struct CompiledSequence {
 /// read-only, on whichever pool thread scores it.
 struct ScaledPotentials {
   /// exp(trans − max_trans), L×L, [prev*L + y], and its transpose
-  /// ([y*L + prev]) for the forward pass's contiguous dot products.
+  /// ([y*L + prev]): math::kernels::ChainForwardD multiplies by trans,
+  /// ChainBackwardD by trans_t, each a row vector times a matrix.
   std::vector<double> trans;
   std::vector<double> trans_t;
   std::vector<double> start;  // L, exp(start − max_start)
@@ -55,7 +56,9 @@ struct ScaledLattice {
   std::vector<double> alpha;  // T×L, rows sum to 1
   std::vector<double> beta;   // T×L
   std::vector<double> scale;  // T, c_t
+  std::vector<double> shift;  // T, max_y s_t(y), taken out of E_t
   std::vector<double> marginal;  // L, one row of alpha ⊙ beta
+  std::vector<double> pairwise;  // L×L, alpha_{0..T-2}ᵀ q_{1..T-1}
 };
 
 /// The mathematical core of the linear-chain CRF: label/feature

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 
 #include "math/kernels.h"
-#include "math/vec.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -114,10 +114,16 @@ Status Word2Vec::Train(
   const int total_epochs = std::max(1, options_.epochs);
 
   // Skip-gram negative-sampling pass over encoded[lo, hi), updating
-  // `in`/`out` in place and drawing every sample from `pass_rng`.
+  // `in`/`out` in place and drawing every sample from `pass_rng`. Each
+  // (center, context) pair draws its negatives first, in the order the
+  // update consumes them, and skips a draw that hits the context word;
+  // one kernel call then runs the whole pair.
+  static_assert((kUnigramTableSize & (kUnigramTableSize - 1)) == 0);
+  PAE_DCHECK_EQ(unigram_table_.size(), kUnigramTableSize);
+  const size_t negatives = static_cast<size_t>(std::max(0, options_.negative));
   auto train_range = [&](size_t lo, size_t hi, float lr, Rng& pass_rng,
                          math::Matrix& in, math::Matrix& out) {
-    std::vector<float> grad_in(d);
+    std::vector<int32_t> targets(negatives + 1);
     for (size_t sent = lo; sent < hi; ++sent) {
       const auto& ids = encoded[sent];
       const int n = static_cast<int>(ids.size());
@@ -129,38 +135,17 @@ Status Word2Vec::Train(
           if (off == 0) continue;
           const int cpos = pos + off;
           if (cpos < 0 || cpos >= n) continue;
-          const size_t center = static_cast<size_t>(ids[pos]);
-          float* vin = in.Row(center);
-          std::fill(grad_in.begin(), grad_in.end(), 0.0f);
-
-          for (int s = 0; s < options_.negative + 1; ++s) {
-            size_t target;
-            float label;
-            if (s == 0) {
-              target = static_cast<size_t>(ids[static_cast<size_t>(cpos)]);
-              label = 1.0f;
-            } else {
-              target = static_cast<size_t>(
-                  unigram_table_[pass_rng.NextBounded(
-                      unigram_table_.size())]);
-              if (target ==
-                  static_cast<size_t>(ids[static_cast<size_t>(cpos)])) {
-                continue;
-              }
-              label = 0.0f;
-            }
-            float* vout = out.Row(target);
-            const double dot = math::kernels::Dot(vin, vout, d);
-            const float pred = math::Sigmoid(static_cast<float>(dot));
-            const float g = (label - pred) * lr;
-            // grad_in += g*vout must read vout before the vout update
-            // writes it; two Axpy calls preserve that order (and stay
-            // correct when target == center aliases vout onto vin's
-            // matrix — they are distinct rows by construction here).
-            math::kernels::Axpy(g, vout, grad_in.data(), d);
-            math::kernels::Axpy(g, vin, vout, d);
+          const int32_t context = ids[static_cast<size_t>(cpos)];
+          size_t num_targets = 0;
+          targets[num_targets++] = context;
+          for (size_t s = 0; s < negatives; ++s) {
+            const int32_t target =
+                unigram_table_[pass_rng.NextU64() & (kUnigramTableSize - 1)];
+            if (target != context) targets[num_targets++] = target;
           }
-          math::kernels::Axpy(1.0f, grad_in.data(), vin, d);
+          math::kernels::SkipGramPair(
+              in.Row(static_cast<size_t>(ids[static_cast<size_t>(pos)])),
+              out.data().data(), targets.data(), num_targets, lr, d);
         }
       }
     }
@@ -168,7 +153,11 @@ Status Word2Vec::Train(
 
   const size_t shards = std::min<size_t>(
       static_cast<size_t>(std::max(1, options_.shards)), encoded.size());
-  util::ThreadPool pool(util::ThreadPool::ResolveThreads(options_.threads));
+  // Only sharded epochs run anything on the pool.
+  std::optional<util::ThreadPool> pool;
+  if (shards > 1) {
+    pool.emplace(util::ThreadPool::ResolveThreads(options_.threads));
+  }
 
   for (int epoch = 0; epoch < total_epochs; ++epoch) {
     const float lr = lr0 * (1.0f - static_cast<float>(epoch) /
@@ -188,7 +177,7 @@ Status Word2Vec::Train(
     const std::vector<float> base_out = out_vectors_.data();
     std::vector<math::Matrix> shard_in(shards, in_vectors_);
     std::vector<math::Matrix> shard_out(shards, out_vectors_);
-    pool.ParallelFor(0, shards, 1, [&](size_t s) {
+    pool->ParallelFor(0, shards, 1, [&](size_t s) {
       const size_t lo = s * encoded.size() / shards;
       const size_t hi = (s + 1) * encoded.size() / shards;
       Rng shard_rng(options_.seed ^
@@ -201,7 +190,7 @@ Status Word2Vec::Train(
     auto merge = [&](const std::vector<math::Matrix>& parts,
                      const std::vector<float>& base, math::Matrix* dst) {
       std::vector<float>& target = dst->data();
-      pool.ParallelFor(0, target.size(), 4096, [&](size_t k) {
+      pool->ParallelFor(0, target.size(), 4096, [&](size_t k) {
         double delta = 0;
         for (size_t s = 0; s < shards; ++s) {
           delta += static_cast<double>(parts[s].data()[k]) - base[k];

@@ -122,6 +122,93 @@ void LstmGatePreactBatchScalar(const float* wx, const float* wh,
                                      batch, pre, DotScalar, DotCols4Scalar);
 }
 
+void PairPrepareScalar(const float* vin, size_t n, double* vin_wide,
+                       float* grad) {
+  for (size_t i = 0; i < n; ++i) {
+    vin_wide[i] = static_cast<double>(vin[i]);
+    grad[i] = 0.0f;
+  }
+}
+
+double DotWideScalar(const double* a, const float* b, size_t n) {
+  double lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (size_t k = 0; k < 8; ++k) {
+      lanes[k] += a[i + k] * static_cast<double>(b[i + k]);
+    }
+  }
+  return detail::FinishDotWide(lanes, a, b, i, n);
+}
+
+void PairUpdateScalar(float g, float* vout, const float* vin, float* grad,
+                      size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const float o = vout[i];
+    grad[i] += g * o;
+    vout[i] = o + g * vin[i];
+  }
+}
+
+void SkipGramPairScalar(float* vin, float* out, const int32_t* targets,
+                        size_t num_targets, float lr, size_t d) {
+  detail::SkipGramPairImpl(vin, out, targets, num_targets, lr, d,
+                           PairPrepareScalar, DotWideScalar, PairUpdateScalar,
+                           AxpyScalar);
+}
+
+/// One column of X against M, four columns of M per pass over the
+/// rows: four independent sum chains, each in ascending k.
+void VecMatDScalar(const double* x, size_t x_stride, const double* m,
+                   size_t m_stride, size_t rows, size_t cols, double* out) {
+  size_t c = 0;
+  for (; c + 4 <= cols; c += 4) {
+    double s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+    for (size_t k = 0; k < rows; ++k) {
+      const double xv = x[k * x_stride];
+      const double* mk = m + k * m_stride + c;
+      s0 += xv * mk[0];
+      s1 += xv * mk[1];
+      s2 += xv * mk[2];
+      s3 += xv * mk[3];
+    }
+    out[c] = s0;
+    out[c + 1] = s1;
+    out[c + 2] = s2;
+    out[c + 3] = s3;
+  }
+  for (; c < cols; ++c) {
+    double s = 0;
+    for (size_t k = 0; k < rows; ++k) {
+      s += x[k * x_stride] * m[k * m_stride + c];
+    }
+    out[c] = s;
+  }
+}
+
+void MatTMatDScalar(const double* x, size_t x_stride, size_t x_cols,
+                    const double* m, size_t m_stride, size_t rows, size_t cols,
+                    double* out) {
+  for (size_t r = 0; r < x_cols; ++r) {
+    VecMatDScalar(x + r, x_stride, m, m_stride, rows, cols, out + r * cols);
+  }
+}
+
+double ChainForwardDScalar(const double* emit, const double* trans,
+                           const double* start, const double* end,
+                           size_t steps, size_t labels, double* alpha,
+                           double* scale) {
+  return detail::ChainForwardImpl(emit, trans, start, end, steps, labels,
+                                  alpha, scale, VecMatDScalar);
+}
+
+void ChainBackwardDScalar(const double* trans_t, const double* scale,
+                          size_t steps, size_t labels, double* emit,
+                          double* beta) {
+  detail::ChainBackwardImpl(trans_t, scale, steps, labels, emit, beta,
+                            VecMatDScalar);
+}
+
 // ---- cpuid feature probe ----
 
 #if defined(PAE_KERNELS_HAVE_AVX2)
@@ -215,10 +302,10 @@ const Dispatch& ActiveDispatch() {
 
 namespace detail {
 const KernelTable kScalarTable = {
-    DotScalar,          SumSqScalar,         AxpyScalar,
-    ScaleScalar,        MatVecScalar,        MatTVecScalar,
-    AddOuterScalar,     LstmGatePreactScalar, MatMulScalar,
-    MatTVecBatchScalar, LstmGatePreactBatchScalar,
+    DotScalar, SumSqScalar, AxpyScalar, ScaleScalar, MatVecScalar,
+    MatTVecScalar, AddOuterScalar, LstmGatePreactScalar, MatMulScalar,
+    MatTVecBatchScalar, LstmGatePreactBatchScalar, SkipGramPairScalar,
+    MatTMatDScalar, ChainForwardDScalar, ChainBackwardDScalar,
 };
 }  // namespace detail
 
@@ -331,6 +418,31 @@ void LstmGatePreactBatch(const float* wx, const float* wh, const float* b,
                          size_t input_dim, size_t batch, float* pre) {
   ActiveDispatch().table->gate_preact_batch(wx, wh, b, xs, hs, hidden,
                                             input_dim, batch, pre);
+}
+
+void SkipGramPair(float* vin, float* out, const int32_t* targets,
+                  size_t num_targets, float lr, size_t d) {
+  ActiveDispatch().table->skipgram_pair(vin, out, targets, num_targets, lr, d);
+}
+
+void MatTMatD(const double* x, size_t x_stride, size_t x_cols,
+              const double* m, size_t m_stride, size_t rows, size_t cols,
+              double* out) {
+  ActiveDispatch().table->mattmat_d(x, x_stride, x_cols, m, m_stride, rows,
+                                    cols, out);
+}
+
+double ChainForwardD(const double* emit, const double* trans,
+                     const double* start, const double* end, size_t steps,
+                     size_t labels, double* alpha, double* scale) {
+  return ActiveDispatch().table->chain_forward_d(emit, trans, start, end,
+                                                 steps, labels, alpha, scale);
+}
+
+void ChainBackwardD(const double* trans_t, const double* scale, size_t steps,
+                    size_t labels, double* emit, double* beta) {
+  ActiveDispatch().table->chain_backward_d(trans_t, scale, steps, labels,
+                                           emit, beta);
 }
 
 void LstmActivateGates(const float* pre, const float* c_prev, size_t hidden,

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 namespace pae::math::kernels {
@@ -159,6 +160,57 @@ void LstmGatePreact(const float* wx, const float* wh, const float* b,
 void LstmGatePreactBatch(const float* wx, const float* wh, const float* b,
                          const float* xs, const float* hs, size_t hidden,
                          size_t input_dim, size_t batch, float* pre);
+
+// ---------------------------------------------------------------------
+// Training inner loops. Each is bit-identical to the plain loop it
+// replaced (kernels_test and the references in tests/support hold them
+// to it), so moving a loop here changes its speed and nothing else.
+// ---------------------------------------------------------------------
+
+/// One skip-gram negative-sampling update of a (center, context) pair.
+/// `vin` is the center's input vector; target j is the output vector
+/// `out + targets[j]·d`, with label 1 for j = 0 (the context word) and
+/// 0 for every later target (the negatives). For each target in order:
+///   g = (label − Sigmoid(float(Dot(vin, vout)))) · lr
+///   grad += g·vout;  vout += g·vin        (grad starts at 0)
+/// and finally vin += grad. That is exactly Dot, then Axpy(g, vout,
+/// grad), then Axpy(g, vin, vout) per target and Axpy(1, grad, vin) at
+/// the end, so a target drawn twice sees its earlier update. `vin` must
+/// not lie inside `out`.
+void SkipGramPair(float* vin, float* out, const int32_t* targets,
+                  size_t num_targets, float lr, size_t d);
+
+/// Double-precision Xᵀ·M for an X of `x_cols` columns and an M of
+/// `cols` columns, both `rows` tall, with row strides:
+///   out[r·cols + c] = Σ_{k < rows} x[k·x_stride + r] · m[k·m_stride + c]
+/// for r < x_cols, c < cols. Each output is a serial sum from 0 in
+/// ascending k — the operand order of one plain dot product — so the
+/// bits do not depend on the blocking or the tier. With x_cols = 1 it
+/// is a row vector times M. `out` must not overlap `x` or `m`. The
+/// CRF's transition expectation is one call (alpha columns against q
+/// rows); the chain recursions below run it once per step.
+void MatTMatD(const double* x, size_t x_stride, size_t x_cols,
+              const double* m, size_t m_stride, size_t rows, size_t cols,
+              double* out);
+
+/// The scaled forward recursion of a linear chain over T×L row-major
+/// arrays (CRFsuite's): alpha_0 = emit_0 ⊙ start and
+///   alpha_t = emit_t ⊙ (alpha_{t−1}ᵀ · trans)   (MatTMatD, x_cols = 1),
+/// each row then summed in ascending order into c_t = scale[t] and
+/// multiplied by 1/c_t. Returns the closing mass alpha_{T−1}ᵀ · end.
+/// One call per sequence rather than one per step: at a handful of
+/// labels the per-call cost would outweigh the step.
+double ChainForwardD(const double* emit, const double* trans,
+                     const double* start, const double* end, size_t steps,
+                     size_t labels, double* alpha, double* scale);
+
+/// The backward partner of ChainForwardD over its scales. With the last
+/// row of `beta` set by the caller, for t = T−1 down to 1:
+///   q_t = emit_t ⊙ beta_t · (1/c_t), written over emit_t;
+///   beta_{t−1} = q_tᵀ · trans_t   (MatTMatD, x_cols = 1)
+/// where trans_t is the transpose of the forward's trans.
+void ChainBackwardD(const double* trans_t, const double* scale, size_t steps,
+                    size_t labels, double* emit, double* beta);
 
 /// Fused gate activation for one timestep. Gate order in `pre` is
 /// [i; f; o; g] (4H entries). Writes the four gate activations, the new

@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "math/vec.h"
+
 namespace pae::math::kernels::detail {
 
 /// Fixed lane-combine tree: ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
@@ -207,6 +209,135 @@ inline void LstmGatePreactBatchImpl(const float* wx, const float* wh,
   }
 }
 
+// ---- Skip-gram pair update ----
+//
+// Each tier provides
+//   prepare(vin, n, vin_wide, grad)
+//                      — vin_wide[i] = double(vin[i]) and grad[i] = 0,
+//   dot_wide(a, b, n)  — the 8-lane Dot with the left operand already
+//                        widened to double (a[i] == double(vin[i]), so
+//                        every lane receives the same products as Dot's),
+//   pair_update(g, vout, vin, grad, n)
+//                      — grad[i] += g·vout[i]; vout[i] += g·vin[i], the
+//                        two Axpys fused into one pass that reads each
+//                        vout element before writing it,
+// and its Axpy for the closing vin += 1·grad.
+
+/// FinishDot for a pre-widened left operand.
+inline double FinishDotWide(double* lanes, const double* a, const float* b,
+                            size_t i, size_t n) {
+  for (; i < n; ++i) {
+    lanes[i % 8] += a[i] * static_cast<double>(b[i]);
+  }
+  return ReduceLanes8(lanes);
+}
+
+/// Per-thread scratch of one SkipGramPair call: the center vector
+/// widened once per pair, and the float gradient the targets add into.
+struct PairScratch {
+  std::vector<double> vin;
+  std::vector<float> grad;
+};
+
+inline PairScratch& ThreadPairScratch(size_t d) {
+  thread_local PairScratch scratch;
+  if (scratch.vin.size() < d) {
+    scratch.vin.resize(d);
+    scratch.grad.resize(d);
+  }
+  return scratch;
+}
+
+template <typename PrepareFn, typename DotWideFn, typename PairUpdateFn,
+          typename AxpyFn>
+inline void SkipGramPairImpl(float* vin, float* out, const int32_t* targets,
+                             size_t num_targets, float lr, size_t d,
+                             PrepareFn prepare, DotWideFn dot_wide,
+                             PairUpdateFn pair_update, AxpyFn axpy) {
+  PairScratch& scratch = ThreadPairScratch(d);
+  double* vin_wide = scratch.vin.data();
+  float* grad = scratch.grad.data();
+  prepare(vin, d, vin_wide, grad);
+  // Targets run in batches of distinct rows: all dots, then all
+  // sigmoids, then all updates, so the dots and the libm calls of a
+  // batch overlap instead of queueing behind each other's updates. A
+  // batch ends before a row it already holds, so a repeated target
+  // still reads the row after its earlier update — the sequential
+  // order's values, bit for bit.
+  constexpr size_t kBatch = 8;
+  float g[kBatch];
+  for (size_t lo = 0; lo < num_targets;) {
+    size_t hi = lo + 1;
+    while (hi < num_targets && hi - lo < kBatch &&
+           std::find(targets + lo, targets + hi, targets[hi]) ==
+               targets + hi) {
+      ++hi;
+    }
+    for (size_t j = lo; j < hi; ++j) {
+      g[j - lo] = static_cast<float>(dot_wide(
+          vin_wide, out + static_cast<size_t>(targets[j]) * d, d));
+    }
+    for (size_t j = lo; j < hi; ++j) {
+      const float label = j == 0 ? 1.0f : 0.0f;
+      g[j - lo] = (label - math::Sigmoid(g[j - lo])) * lr;
+    }
+    for (size_t j = lo; j < hi; ++j) {
+      pair_update(g[j - lo], out + static_cast<size_t>(targets[j]) * d, vin,
+                  grad, d);
+    }
+    lo = hi;
+  }
+  axpy(1.0f, grad, vin, d);
+}
+
+// ---- Linear-chain recursions ----
+//
+// Each tier passes its one-column MatTMatD core,
+//   vecmat(x, x_stride, m, m_stride, rows, cols, out),
+// which the step loops below inline. The element-wise work between
+// steps is the same scalar code in every tier.
+
+template <typename VecMatFn>
+inline double ChainForwardImpl(const double* emit, const double* trans,
+                               const double* start, const double* end,
+                               size_t steps, size_t labels, double* alpha,
+                               double* scale, VecMatFn vecmat) {
+  const size_t L = labels;
+  for (size_t t = 0; t < steps; ++t) {
+    double* a = alpha + t * L;
+    const double* e = emit + t * L;
+    if (t == 0) {
+      std::copy(start, start + L, a);
+    } else {
+      vecmat(a - L, 1, trans, L, L, L, a);
+    }
+    double c = 0;
+    for (size_t y = 0; y < L; ++y) {
+      a[y] = e[y] * a[y];
+      c += a[y];
+    }
+    scale[t] = c;
+    const double inv = 1.0 / c;
+    for (size_t y = 0; y < L; ++y) a[y] *= inv;
+  }
+  double end_mass = 0;
+  vecmat(alpha + (steps - 1) * L, 1, end, 1, L, 1, &end_mass);
+  return end_mass;
+}
+
+template <typename VecMatFn>
+inline void ChainBackwardImpl(const double* trans_t, const double* scale,
+                              size_t steps, size_t labels, double* emit,
+                              double* beta, VecMatFn vecmat) {
+  const size_t L = labels;
+  for (size_t t = steps - 1; t > 0; --t) {
+    double* q = emit + t * L;
+    const double inv = 1.0 / scale[t];
+    for (size_t y = 0; y < L; ++y) q[y] *= beta[t * L + y] * inv;
+    vecmat(q, 1, trans_t, L, L, L, beta + (t - 1) * L);
+  }
+}
+
 /// Function-pointer table one ISA tier exports.
 struct KernelTable {
   double (*dot)(const float*, const float*, size_t);
@@ -225,6 +356,13 @@ struct KernelTable {
   void (*gate_preact_batch)(const float*, const float*, const float*,
                             const float*, const float*, size_t, size_t, size_t,
                             float*);
+  void (*skipgram_pair)(float*, float*, const int32_t*, size_t, float, size_t);
+  void (*mattmat_d)(const double*, size_t, size_t, const double*, size_t,
+                    size_t, size_t, double*);
+  double (*chain_forward_d)(const double*, const double*, const double*,
+                            const double*, size_t, size_t, double*, double*);
+  void (*chain_backward_d)(const double*, const double*, size_t, size_t,
+                           double*, double*);
 };
 
 extern const KernelTable kScalarTable;

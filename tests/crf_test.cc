@@ -9,6 +9,7 @@
 #include "crf/crf_tagger.h"
 #include "crf/feature_extractor.h"
 #include "crf/owlqn.h"
+#include "math/kernels.h"
 #include "support/crf_oracle.h"
 #include "text/labeled_sequence.h"
 #include "util/rng.h"
@@ -420,6 +421,43 @@ TEST(CrfScaledKernelTest, SharedPotentialsMatchPerSequencePotentials) {
             FreshNll(crf.model, seq, crf.weights, &fresh_grad);
         EXPECT_EQ(shared_nll, fresh_nll) << "T=" << length;
         EXPECT_EQ(shared_grad, fresh_grad) << "T=" << length;
+      }
+    }
+  }
+}
+
+TEST(CrfScaledKernelTest, MatchesPerEntryDotRecursionBitForBit) {
+  // SequenceNll runs its forward, backward and pairwise passes through
+  // math::kernels::MatTMatD, whose every output keeps the operand order
+  // of the per-entry dot product it replaced: the NLL and every
+  // gradient coordinate stay the same bits, at every ISA tier.
+  uint64_t seed = 1500;
+  for (size_t labels : {1, 3, 4, 15, 25}) {
+    for (size_t length : {1, 2, 5, 200}) {
+      for (double spread : {0.0, 100.0}) {
+        SCOPED_TRACE(::testing::Message() << "L=" << labels << " T="
+                                          << length << " spread=" << spread);
+        RandomCrf crf(seed++, labels, 1.0);
+        if (spread > 0) crf.SpreadTransitions(spread);
+        const CompiledSequence seq = crf.Sequence(length);
+        ScaledPotentials potentials;
+        crf.model.BuildPotentials(crf.weights, &potentials);
+        const size_t dim = crf.weights.size();
+        std::vector<double> want_grad(dim, 0.0);
+        const double want = oracle::DotScaledSequenceNll(
+            crf.model, seq, crf.weights, potentials, &want_grad);
+        for (math::kernels::Isa isa :
+             {math::kernels::Isa::kScalar, math::kernels::Isa::kSse2,
+              math::kernels::Isa::kAvx2}) {
+          if (!math::kernels::IsaSupported(isa)) continue;
+          math::kernels::SetIsa(isa);
+          std::vector<double> grad(dim, 0.0);
+          const double nll =
+              crf.model.SequenceNll(seq, crf.weights, potentials, &grad);
+          EXPECT_EQ(nll, want) << math::kernels::IsaName(isa);
+          EXPECT_EQ(grad, want_grad) << math::kernels::IsaName(isa);
+        }
+        math::kernels::SetIsa(math::kernels::BestSupportedIsa());
       }
     }
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "embed/word2vec.h"
+#include "support/word2vec_oracle.h"
 #include "util/rng.h"
 
 namespace pae::embed {
@@ -92,6 +93,66 @@ TEST(Word2VecTest, DeterministicGivenSeed) {
   ASSERT_TRUE(a.Train(TopicCorpus(200, 8)).ok());
   ASSERT_TRUE(b.Train(TopicCorpus(200, 8)).ok());
   EXPECT_DOUBLE_EQ(a.Similarity("red", "blue"), b.Similarity("red", "blue"));
+}
+
+// ---------------- the pair kernel vs the per-sample trainer ----------
+
+/// Word2Vec::Train must give every word exactly the vector the
+/// per-sample Dot/Axpy trainer gives it.
+void ExpectMatchesPerSampleTrainer(
+    const Word2VecOptions& options,
+    const std::vector<std::vector<std::string>>& corpus) {
+  Word2Vec model(options);
+  ASSERT_TRUE(model.Train(corpus).ok());
+  const auto want = oracle::PerSampleWord2Vec(options, corpus);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(model.vocab_size(), want.size() + 1);  // + <unk>
+  for (const auto& [word, vec] : want) {
+    const float* got = model.Vector(word);
+    ASSERT_NE(got, nullptr) << word;
+    EXPECT_EQ(std::vector<float>(got, got + model.dim()), vec) << word;
+  }
+}
+
+TEST(Word2VecTest, MatchesPerSampleTrainerBitForBit) {
+  // Dimensions with and without an 8-lane tail, the bootstrap's 32
+  // among them; sharded epochs train private copies and merge them.
+  for (int dim : {8, 13, 32, 50, 64}) {
+    for (int shards : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "dim=" << dim
+                                        << " shards=" << shards);
+      Word2VecOptions options = SmallOptions();
+      options.dim = dim;
+      options.epochs = 3;
+      options.shards = shards;
+      options.threads = 2;
+      ExpectMatchesPerSampleTrainer(options, TopicCorpus(300, 12));
+    }
+  }
+}
+
+TEST(Word2VecTest, RepeatedNegativesMatchPerSampleTrainer) {
+  // Three words and 12 negatives per pair: almost every pair draws some
+  // row more than once, and many draws hit the context word and are
+  // skipped. A repeated target must see its earlier update.
+  Rng rng(21);
+  const std::vector<std::string> words = {"a", "b", "c"};
+  std::vector<std::vector<std::string>> corpus;
+  for (int i = 0; i < 60; ++i) {
+    std::vector<std::string> sentence;
+    for (int k = 0; k < 6; ++k) sentence.push_back(words[rng.NextBounded(3)]);
+    corpus.push_back(std::move(sentence));
+  }
+  Word2VecOptions options = SmallOptions();
+  options.dim = 13;
+  options.negative = 12;
+  options.min_count = 1;
+  options.subsample = 0;
+  for (int shards : {1, 3}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    options.shards = shards;
+    ExpectMatchesPerSampleTrainer(options, corpus);
+  }
 }
 
 TEST(Word2VecTest, CosineStaticHelper) {

@@ -19,6 +19,7 @@
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "lstm/bilstm_tagger.h"
+#include "support/word2vec_oracle.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -310,6 +311,161 @@ TEST(KernelsBitEqualityTest, LstmGatePreactBatchMatchesSingle) {
                                  pre.size() * sizeof(float)))
             << "LstmGatePreactBatch H=" << hidden << " B=" << batch
             << " isa=" << kernels::IsaName(isa);
+      }
+    }
+  }
+}
+
+// ---------------- training inner loops ----------------
+
+TEST(KernelsBitEqualityTest, SkipGramPairMatchesPerSampleLoop) {
+  // Target lists: more distinct rows than one batch holds, repeats
+  // (adjacent and not), and the context alone.
+  const std::vector<std::vector<int32_t>> target_lists = {
+      {3, 7, 1, 9, 4, 0, 11, 5, 8, 2}, {2, 5, 2, 5, 5, 0}, {6}};
+  constexpr size_t kRows = 12;
+  Rng rng(4242);
+  for (size_t d : kSizes) {
+    if (d == 0) continue;  // memcmp of empty vectors: see above
+    const std::vector<float> in0 = RandomVec(&rng, d);
+    const std::vector<float> out0 = RandomVec(&rng, kRows * d, 0.5f);
+    for (const std::vector<int32_t>& targets : target_lists) {
+      std::vector<float> want_in = in0, want_out = out0;
+      {
+        ScopedIsa scoped(Isa::kScalar);
+        oracle::SkipGramPairPerSample(want_in.data(), want_out.data(),
+                                      targets.data(), targets.size(), 0.05f,
+                                      d);
+      }
+      for (Isa isa : SupportedIsas()) {
+        ScopedIsa scoped(isa);
+        std::vector<float> in = in0, out = out0;
+        kernels::SkipGramPair(in.data(), out.data(), targets.data(),
+                              targets.size(), 0.05f, d);
+        EXPECT_EQ(0,
+                  std::memcmp(want_in.data(), in.data(), d * sizeof(float)))
+            << "SkipGramPair vin d=" << d << " targets=" << targets.size()
+            << " isa=" << kernels::IsaName(isa);
+        EXPECT_EQ(0, std::memcmp(want_out.data(), out.data(),
+                                 out.size() * sizeof(float)))
+            << "SkipGramPair vout d=" << d << " targets=" << targets.size()
+            << " isa=" << kernels::IsaName(isa);
+      }
+    }
+  }
+}
+
+TEST(KernelsBitEqualityTest, MatTMatDMatchesSerialDots) {
+  // Every M column count up to two AVX2 blocks and past them, so every
+  // tier's full blocks, whole groups and partial group show up; one X
+  // column (a row vector) or several (CRF alpha columns), padded rows.
+  Rng rng(5151);
+  for (size_t rows : {0u, 1u, 2u, 3u, 4u, 5u, 15u, 25u}) {
+    for (size_t cols = 1; cols <= 35; ++cols) {
+      for (size_t x_cols : {1u, 3u}) {
+        const size_t x_stride = x_cols + 1;
+        const size_t m_stride = cols + (x_cols == 1 ? 0 : 2);
+        // Magnitudes spread over 20 orders make the summation order
+        // visible in the low bits.
+        std::vector<double> x(rows * x_stride + 1), m(rows * m_stride + 1);
+        for (double& v : x) {
+          v = rng.NextGaussian() * std::pow(10.0, rng.NextInt(-10, 10));
+        }
+        for (double& v : m) v = rng.NextGaussian();
+        const size_t n = x_cols * cols;
+        std::vector<double> want(n);
+        for (size_t r = 0; r < x_cols; ++r) {
+          for (size_t c = 0; c < cols; ++c) {
+            double s = 0;
+            for (size_t k = 0; k < rows; ++k) {
+              s += x[k * x_stride + r] * m[k * m_stride + c];
+            }
+            want[r * cols + c] = s;
+          }
+        }
+        for (Isa isa : SupportedIsas()) {
+          ScopedIsa scoped(isa);
+          std::vector<double> out(n + 2, -7.0);  // 2 guard entries
+          kernels::MatTMatD(x.data(), x_stride, x_cols, m.data(), m_stride,
+                            rows, cols, out.data());
+          EXPECT_EQ(0, std::memcmp(want.data(), out.data(),
+                                   n * sizeof(double)))
+              << "MatTMatD rows=" << rows << " cols=" << cols
+              << " x_cols=" << x_cols << " isa=" << kernels::IsaName(isa);
+          EXPECT_EQ(out[n], -7.0) << "MatTMatD wrote past its output";
+          EXPECT_EQ(out[n + 1], -7.0) << "MatTMatD wrote past its output";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsBitEqualityTest, ChainRecursionsMatchPerEntryDots) {
+  // The CRF's scaled forward and backward passes, step by step with one
+  // serial dot product per entry (the forward reading trans_t rows, the
+  // backward trans rows), against the chain kernels at every tier.
+  Rng rng(6161);
+  for (size_t labels = 1; labels <= 26; ++labels) {
+    for (size_t steps : {1u, 2u, 5u}) {
+      const size_t L = labels;
+      std::vector<double> emit(steps * L), trans(L * L), trans_t(L * L),
+          start(L), end(L);
+      for (double& v : emit) v = std::exp(rng.NextGaussian());
+      for (double& v : trans) v = std::exp(3 * rng.NextGaussian());
+      for (double& v : start) v = rng.NextDouble();
+      for (double& v : end) v = rng.NextDouble();
+      for (size_t i = 0; i < L; ++i) {
+        for (size_t j = 0; j < L; ++j) trans_t[j * L + i] = trans[i * L + j];
+      }
+      auto dot = [](const double* a, const double* b, size_t n) {
+        double s = 0;
+        for (size_t i = 0; i < n; ++i) s += a[i] * b[i];
+        return s;
+      };
+      std::vector<double> want_alpha(steps * L), want_scale(steps);
+      for (size_t t = 0; t < steps; ++t) {
+        double* a = want_alpha.data() + t * L;
+        double c = 0;
+        for (size_t y = 0; y < L; ++y) {
+          const double in = t == 0 ? start[y] : dot(a - L, &trans_t[y * L], L);
+          a[y] = emit[t * L + y] * in;
+          c += a[y];
+        }
+        want_scale[t] = c;
+        const double inv = 1.0 / c;
+        for (size_t y = 0; y < L; ++y) a[y] *= inv;
+      }
+      const double want_mass =
+          dot(want_alpha.data() + (steps - 1) * L, end.data(), L);
+      std::vector<double> want_emit = emit, want_beta(steps * L);
+      for (size_t y = 0; y < L; ++y) want_beta[(steps - 1) * L + y] = end[y];
+      for (size_t t = steps - 1; t > 0; --t) {
+        double* q = want_emit.data() + t * L;
+        const double inv = 1.0 / want_scale[t];
+        for (size_t y = 0; y < L; ++y) q[y] *= want_beta[t * L + y] * inv;
+        for (size_t yp = 0; yp < L; ++yp) {
+          want_beta[(t - 1) * L + yp] = dot(&trans[yp * L], q, L);
+        }
+      }
+      for (Isa isa : SupportedIsas()) {
+        ScopedIsa scoped(isa);
+        std::vector<double> alpha(steps * L), scale(steps);
+        const double mass =
+            kernels::ChainForwardD(emit.data(), trans.data(), start.data(),
+                                   end.data(), steps, L, alpha.data(),
+                                   scale.data());
+        std::vector<double> q = emit, beta(steps * L);
+        for (size_t y = 0; y < L; ++y) beta[(steps - 1) * L + y] = end[y];
+        kernels::ChainBackwardD(trans_t.data(), scale.data(), steps, L,
+                                q.data(), beta.data());
+        const std::string where = "L=" + std::to_string(L) +
+                                  " T=" + std::to_string(steps) +
+                                  " isa=" + kernels::IsaName(isa);
+        EXPECT_EQ(0, std::memcmp(&want_mass, &mass, sizeof(double))) << where;
+        EXPECT_EQ(want_alpha, alpha) << where;
+        EXPECT_EQ(want_scale, scale) << where;
+        EXPECT_EQ(want_emit, q) << where;
+        EXPECT_EQ(want_beta, beta) << where;
       }
     }
   }
