@@ -12,12 +12,13 @@
 #   scripts/check.sh --tidy      # additionally run scripts/tidy.sh
 #   PAE_CHECK_JOBS=4 scripts/check.sh   # override build/test parallelism
 #
-# Pass 1 (default flags) configures build-check/ and runs every ctest
-# target (including pae_lint), then runs an instrumented pae-extract
-# pass over a small synthetic corpus, validates the emitted
+# Pass 1 (default flags plus -Werror) configures build-check/ and runs
+# every ctest target (including pae_lint), then runs an instrumented
+# pae-extract pass over a small synthetic corpus, validates the emitted
 # --metrics-out JSON report, deep-verifies the .paez model artifact
-# that run saved and checks that a model which cannot be written fails
-# the run (pass 1b), then reruns the full suite with PAE_SIMD=scalar
+# that run saved, applies that model to the corpus and checks the
+# apply report's tagged-sentence count, and checks that a model which
+# cannot be written fails the run (pass 1b), then reruns the full suite with PAE_SIMD=scalar
 # (pass 1c) so the portable kernel tier — the one CI hosts without AVX2
 # would silently fall back to — gets the same coverage as the
 # dispatched default. The pae-serve daemon smoke (200 byte-checked
@@ -25,12 +26,12 @@
 # shutdown, SIGTERM) is tests/daemon_test, which pass 1's full ctest
 # runs. Pass 2 configures build-check-tsan/ with
 # -DPAE_SANITIZE=thread and runs the thread-pool + concurrency +
-# feature-pipeline + streaming-ingest + serve + daemon binaries
+# feature-pipeline + tag-filter + streaming-ingest + serve + daemon binaries
 # directly: they are the tests whose failure modes are data races; the serve hot-swap
 # hammer is additionally repeated 100 times because the publish/drain
 # race is the daemon's central invariant. Pass 3 configures
 # build-check-asan/ with -DPAE_SANITIZE=address and runs the interner +
-# feature-pipeline + ingest + scanner/segmenter + serve + daemon +
+# feature-pipeline + tag-filter + ingest + scanner/segmenter + serve + daemon +
 # model-artifact binaries: the interner hands out raw string_views into
 # a hand-managed arena, the ingest workers reuse per-thread scanner and
 # segmenter buffers across pages, the serve protocol tests feed
@@ -69,8 +70,10 @@ if [[ "${RUN_TIDY}" == "1" ]]; then
 fi
 
 echo "==> pass 1: default build + full ctest"
+# -Werror: the default GCC build of every target is warning-free, and
+# stays so (the Clang CI leg already builds with -Werror).
 cmake -B build-check -S . -DCMAKE_BUILD_TYPE=Release \
-      -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
+      -DCMAKE_EXPORT_COMPILE_COMMANDS=ON -DCMAKE_CXX_FLAGS=-Werror > /dev/null
 cmake --build build-check -j "${JOBS}"
 ctest --test-dir build-check --output-on-failure -j "${JOBS}"
 
@@ -96,6 +99,8 @@ assert report["counters"].get("cleaning.input", 0) > 0, "no cleaning counters"
 assert len(report["series"].get("crf.objective", [])) > 0, "no CRF objective"
 assert len(report["series"].get("bootstrap.triples_total", [])) > 0, \
     "no bootstrap triple series"
+assert len(report["series"].get("bootstrap.tag.tagged_sentences", [])) > 0, \
+    "no bootstrap tagged-sentence series"
 print("metrics report OK:", len(report["counters"]), "counters,",
       len(report["histograms"]), "histograms,", len(report["series"]),
       "series")
@@ -104,11 +109,36 @@ else
   # No python3: settle for a structural grep that the report at least
   # contains the expected keys.
   for key in '"version"' '"counters"' '"crf.objective"' \
-             '"bootstrap.triples_total"' '"cleaning.input"'; do
+             '"bootstrap.triples_total"' '"cleaning.input"' \
+             '"bootstrap.tag.tagged_sentences"'; do
     grep -q "${key}" build-check/metrics-report.json || {
       echo "check.sh: metrics report missing ${key}" >&2; exit 1; }
   done
   echo "metrics report OK (grep-checked; python3 unavailable)"
+fi
+# Batch apply with the saved model: the report must count the model
+# inputs it scored, and batch tagging never scores more inputs than it
+# has sentences.
+./build-check/tools/pae-extract --in build-check/metrics-corpus \
+      --out build-check/metrics-applied.tsv \
+      --apply-model build-check/metrics-model.paez \
+      --metrics-out build-check/metrics-apply-report.json > /dev/null
+if command -v python3 > /dev/null 2>&1; then
+  python3 - build-check/metrics-apply-report.json <<'PYEOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    counters = json.load(f)["counters"]
+assert "apply.tagged_sentences" in counters, "no apply.tagged_sentences"
+sentences = counters.get("apply.sentences", 0)
+tagged = counters["apply.tagged_sentences"]
+assert 0 < tagged <= sentences, (tagged, sentences)
+print("apply report OK:", tagged, "of", sentences, "sentences tagged")
+PYEOF
+else
+  grep -q '"apply.tagged_sentences"' \
+      build-check/metrics-apply-report.json || {
+    echo "check.sh: apply report missing apply.tagged_sentences" >&2; exit 1; }
+  echo "apply report OK (grep-checked; python3 unavailable)"
 fi
 # Deep-verify the saved .paez artifact (structure + every section
 # checksum) that a real pae-extract run wrote.
@@ -151,10 +181,12 @@ if [[ "${RUN_TSAN}" == "1" ]]; then
         -DPAE_SANITIZE=thread > /dev/null
   cmake --build build-check-tsan -j "${JOBS}" \
         --target thread_pool_test concurrency_test feature_pipeline_test \
-        streaming_ingest_test serve_test daemon_test
+        tag_filter_test streaming_ingest_test serve_test daemon_test
   ./build-check-tsan/tests/thread_pool_test
   ./build-check-tsan/tests/concurrency_test
   ./build-check-tsan/tests/feature_pipeline_test
+  # Grouped batch tagging: per-sentence and per-group sweeps on a pool.
+  ./build-check-tsan/tests/tag_filter_test
   # The full multi-worker ingest pipeline (reader + scanner + segmenter
   # + per-thread scratch) under TSan.
   ./build-check-tsan/tests/streaming_ingest_test
@@ -175,11 +207,13 @@ if [[ "${RUN_ASAN}" == "1" ]]; then
   cmake -B build-check-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DPAE_SANITIZE=address > /dev/null
   cmake --build build-check-asan -j "${JOBS}" \
-        --target interner_test feature_pipeline_test crf_test serve_test \
-        serve_protocol_test model_artifact_test daemon_test \
-        streaming_ingest_test stream_scanner_test
+        --target interner_test feature_pipeline_test tag_filter_test \
+        crf_test serve_test serve_protocol_test model_artifact_test \
+        daemon_test streaming_ingest_test stream_scanner_test
   ./build-check-asan/tests/interner_test
   ./build-check-asan/tests/feature_pipeline_test
+  # The compiled corpus's grouping tables index its flat id arrays.
+  ./build-check-asan/tests/tag_filter_test
   # Ingest workers and the serving engine reuse one StreamScanner and
   # one FusedSegmenter scratch (buffers + sentence memo) page after
   # page; a stale view into a reused buffer is a use-after-free.

@@ -81,6 +81,7 @@ std::vector<Triple> ExtractWithModel(const text::SequenceTagger& tagger,
   stats.triples = static_cast<int64_t>(out.size());
 
   metrics.GetCounter("apply.sentences")->Add(stats.sentences);
+  metrics.GetCounter("apply.tagged_sentences")->Add(stats.tagged);
   metrics.GetCounter("apply.negation_dropped")->Add(stats.negation_dropped);
   metrics.GetCounter("apply.spans")->Add(stats.spans);
   metrics.GetCounter("apply.confidence_dropped")

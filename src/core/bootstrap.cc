@@ -285,10 +285,13 @@ Result<PipelineResult> Pipeline::RunImpl(const ProcessedCorpus& corpus,
     std::vector<FilteredSentence> tagged;
     util::ScopedTimer tag_timer(
         metrics.GetHistogram("bootstrap.tag.seconds"));
-    TagAndFilter(*tagger, unlabeled_sentences,
-                 config_.negation_filtering ? &negation : nullptr,
-                 config_.min_span_confidence, &crf_cache, &pool, &tagged);
+    const TagFilterTally tag_tally =
+        TagAndFilter(*tagger, unlabeled_sentences,
+                     config_.negation_filtering ? &negation : nullptr,
+                     config_.min_span_confidence, &crf_cache, &pool, &tagged);
     tag_timer.Stop();
+    metrics.GetSeries("bootstrap.tag.tagged_sentences")
+        ->Append(static_cast<double>(tag_tally.tagged));
 
     CandidateTally tally;
     for (size_t u = 0; u < unlabeled.size(); ++u) {

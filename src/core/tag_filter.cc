@@ -1,12 +1,36 @@
 #include "core/tag_filter.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/normalize.h"
 #include "crf/crf_tagger.h"
 #include "util/strings.h"
 
 namespace pae::core {
+
+namespace {
+
+/// Steps 3–4 for one scored prediction: decode its BIO spans, then keep
+/// those whose minimum token confidence clears the bar.
+void FilterSpans(const text::SequenceTagger::ScoredPrediction& scored,
+                 double min_span_confidence, FilteredSentence* result) {
+  for (text::ValueSpan& span : text::DecodeBioSpans(scored.labels)) {
+    if (min_span_confidence > 0) {
+      double min_conf = 1.0;
+      for (size_t k = span.begin; k < span.end; ++k) {
+        min_conf = std::min(min_conf, scored.confidence[k]);
+      }
+      if (min_conf < min_span_confidence) {
+        ++result->confidence_dropped;
+        continue;
+      }
+    }
+    result->spans.push_back(std::move(span));
+  }
+}
+
+}  // namespace
 
 TagFilterTally TagAndFilter(
     const text::SequenceTagger& tagger,
@@ -24,51 +48,74 @@ TagFilterTally TagAndFilter(
     }
     compiled->Bind(crf_tagger->model(), crf_tagger->Generation());
   }
-
-  out->resize(sentences.size());
-  auto tag_one = [&](size_t i) {
-    const text::LabeledSequence& sentence = *sentences[i];
-    FilteredSentence& result = (*out)[i];
-    result.negated =
-        negation != nullptr && negation->IsNegated(sentence.tokens);
-    result.confidence_dropped = 0;
-    result.spans.clear();
-    if (result.negated) return;
-    text::SequenceTagger::ScoredPrediction scored;
-    if (crf_tagger != nullptr) {
-      thread_local crf::CompiledSequence compiled_sentence;
-      compiled->Materialize(i, &compiled_sentence);
-      scored = crf_tagger->PredictScored(compiled_sentence);
+  auto parallel_for = [pool](size_t n, const std::function<void(size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->ParallelFor(0, n, 8, fn);
     } else {
-      scored = tagger.PredictScored(sentence);
-    }
-    for (text::ValueSpan& span : text::DecodeBioSpans(scored.labels)) {
-      if (min_span_confidence > 0) {
-        double min_conf = 1.0;
-        for (size_t k = span.begin; k < span.end; ++k) {
-          min_conf = std::min(min_conf, scored.confidence[k]);
-        }
-        if (min_conf < min_span_confidence) {
-          ++result.confidence_dropped;
-          continue;
-        }
-      }
-      result.spans.push_back(std::move(span));
+      for (size_t i = 0; i < n; ++i) fn(i);
     }
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(0, sentences.size(), 8, tag_one);
+
+  out->resize(sentences.size());
+  TagFilterTally tally;
+  if (crf_tagger == nullptr) {
+    parallel_for(sentences.size(), [&](size_t i) {
+      const text::LabeledSequence& sentence = *sentences[i];
+      FilteredSentence& result = (*out)[i];
+      result.negated =
+          negation != nullptr && negation->IsNegated(sentence.tokens);
+      result.confidence_dropped = 0;
+      result.spans.clear();
+      if (result.negated) return;
+      FilterSpans(tagger.PredictScored(sentence), min_span_confidence,
+                  &result);
+    });
   } else {
-    for (size_t i = 0; i < sentences.size(); ++i) tag_one(i);
+    // Negation reads each sentence's own tokens: group members can
+    // differ in tokens the model never saw, cue words included.
+    parallel_for(sentences.size(), [&](size_t i) {
+      FilteredSentence& result = (*out)[i];
+      result.negated =
+          negation != nullptr && negation->IsNegated(sentences[i]->tokens);
+      result.confidence_dropped = 0;
+      result.spans.clear();
+    });
+    // Score each group that has a member left, once.
+    std::vector<uint8_t> wanted(compiled->num_groups(), 0);
+    std::vector<uint32_t> to_score;
+    for (size_t i = 0; i < sentences.size(); ++i) {
+      const uint32_t g = compiled->group(i);
+      if (!(*out)[i].negated && wanted[g] == 0) {
+        wanted[g] = 1;
+        to_score.push_back(g);
+      }
+    }
+    std::vector<FilteredSentence> by_group(compiled->num_groups());
+    parallel_for(to_score.size(), [&](size_t k) {
+      thread_local crf::CompiledSequence compiled_sentence;
+      compiled->MaterializeGroup(to_score[k], &compiled_sentence);
+      FilterSpans(crf_tagger->PredictScored(compiled_sentence),
+                  min_span_confidence, &by_group[to_score[k]]);
+    });
+    parallel_for(sentences.size(), [&](size_t i) {
+      FilteredSentence& result = (*out)[i];
+      if (result.negated) return;
+      const FilteredSentence& scored = by_group[compiled->group(i)];
+      result.confidence_dropped = scored.confidence_dropped;
+      result.spans = scored.spans;
+    });
+    tally.tagged = static_cast<int64_t>(to_score.size());
   }
 
   // Summed serially after the sweep: deterministic and contention-free.
-  TagFilterTally tally;
   tally.sentences = static_cast<int64_t>(sentences.size());
   for (const FilteredSentence& result : *out) {
     tally.negation_dropped += result.negated ? 1 : 0;
     tally.confidence_dropped += result.confidence_dropped;
     tally.spans += static_cast<int64_t>(result.spans.size());
+  }
+  if (crf_tagger == nullptr) {
+    tally.tagged = tally.sentences - tally.negation_dropped;
   }
   return tally;
 }

@@ -28,6 +28,10 @@ struct FilteredSentence {
 /// apply's request statistics extend it.
 struct TagFilterTally {
   int64_t sentences = 0;
+  /// Model inputs actually scored: one per sentence that negation kept,
+  /// or, on the compiled CRF path, one per group of such sentences with
+  /// equal compiled input.
+  int64_t tagged = 0;
   int64_t negation_dropped = 0;
   int64_t confidence_dropped = 0;
   int64_t spans = 0;  ///< spans kept after the confidence bar
@@ -48,8 +52,12 @@ struct TagFilterTally {
 /// CRF fast path: when `compiled` is non-null and `tagger` is a
 /// crf::CrfTagger, every sentence's features are extracted once into
 /// `compiled` (on the first call — later calls must pass the same
-/// sentence list) and each call only rebinds feature ids to the
-/// tagger's generation. Predictions are identical either way.
+/// sentence list) and each call only rebinds feature ids, and regroups,
+/// for the tagger's generation. Steps 2–4 then run once per group of
+/// sentences with equal compiled input (crf::CompiledCorpus) that has a
+/// member left after step 1, and every other kept member receives the
+/// group's spans and confidence drops. Step 1 still reads each
+/// sentence's own tokens, so the output is identical either way.
 TagFilterTally TagAndFilter(
     const text::SequenceTagger& tagger,
     const std::vector<const text::LabeledSequence*>& sentences,

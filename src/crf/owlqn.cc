@@ -67,9 +67,13 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
   // spare, so a pair the curvature test rejects is simply overwritten
   // next time and an accepted one evicts the oldest by moving `head`.
   // A slot's vectors are sized on its first use and reused after that.
+  // `sy` and `yy` are s·y and y·y, kept so the scale of the initial
+  // Hessian estimate does not recompute two full-length dot products
+  // every iteration.
   struct Pair {
     std::vector<double> s, y;
     double rho = 0;
+    double sy = 0, yy = 0;
   };
   const size_t memory = static_cast<size_t>(std::max(options.memory, 0));
   std::vector<Pair> ring(memory + 1);
@@ -112,7 +116,7 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
     }
     if (count > 0) {
       const Pair& last = pair_at(count - 1);
-      double scale = DotD(last.s, last.y) / DotD(last.y, last.y);
+      double scale = last.sy / last.yy;
       for (double& v : direction) v *= scale;
     }
     for (size_t i = 0; i < count; ++i) {
@@ -178,6 +182,8 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
     double sy = DotD(next.s, next.y);
     if (sy > 1e-10) {
       next.rho = 1.0 / sy;
+      next.sy = sy;
+      next.yy = DotD(next.y, next.y);
       if (count == memory) {
         head = (head + 1) % ring.size();
       } else {
