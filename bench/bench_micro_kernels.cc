@@ -753,9 +753,9 @@ void BM_SimdLstmLayer(benchmark::State& state) {
   // batched gate GEMM per timestep. Args are (isa, hidden, batch) with
   // input_dim = 3H/4 (the tagger's D:H ratio). h=64 is the model's
   // word-layer shape, where the libm gate activations bound the step;
-  // h=384 is the serving-scale shape where the [4H×D] weight pair
-  // (~4 MB) no longer fits L2 and re-streaming it per sequence is the
-  // cost batching amortises. items/s counts sequences, so batch 32 vs
+  // h=384 is a wide-layer, L2-bound shape that no shipped model runs:
+  // its [4H×D] weight pair (~4 MB) no longer fits L2, and re-streaming
+  // it per sequence is the cost batching amortises. items/s counts sequences, so batch 32 vs
   // batch 1 at the same isa/hidden is the batching speedup directly.
   // (The determinism contract keeps the gate activations on scalar
   // libm, so at h=64 they bound the step and cap the batching win;

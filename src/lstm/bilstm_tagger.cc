@@ -10,7 +10,6 @@
 #include "text/utf8.h"
 #include "util/logging.h"
 #include "util/metrics.h"
-#include "util/serial.h"
 #include "util/thread_pool.h"
 
 namespace pae::lstm {
@@ -580,122 +579,6 @@ BiLstmTagger::PredictScoredBatch(
     for (size_t pi = 0; pi < panels.size(); ++pi) run_panel(pi);
   }
   return out;
-}
-
-}  // namespace pae::lstm
-
-namespace pae::lstm {
-
-namespace {
-constexpr uint32_t kLstmMagic = 0x4C53544D;  // "LSTM"
-constexpr uint32_t kLstmVersion = 1;
-
-void WriteMatrix(BinaryWriter* writer, const math::Matrix& m) {
-  writer->WriteU32(static_cast<uint32_t>(m.rows()));
-  writer->WriteU32(static_cast<uint32_t>(m.cols()));
-  writer->WriteFloatVec(m.data());
-}
-
-bool ReadMatrix(BinaryReader* reader, math::Matrix* m) {
-  uint32_t rows = 0, cols = 0;
-  std::vector<float> data;
-  if (!reader->ReadU32(&rows) || !reader->ReadU32(&cols) ||
-      !reader->ReadFloatVec(&data)) {
-    return false;
-  }
-  if (data.size() != static_cast<size_t>(rows) * cols) return false;
-  *m = math::Matrix(rows, cols);
-  m->data() = std::move(data);
-  return true;
-}
-
-void WriteLstmParams(BinaryWriter* writer, const LstmParams& p) {
-  writer->WriteU32(static_cast<uint32_t>(p.input_dim));
-  writer->WriteU32(static_cast<uint32_t>(p.hidden_dim));
-  WriteMatrix(writer, p.wx);
-  WriteMatrix(writer, p.wh);
-  writer->WriteFloatVec(p.b);
-}
-
-bool ReadLstmParams(BinaryReader* reader, LstmParams* p) {
-  uint32_t input = 0, hidden = 0;
-  if (!reader->ReadU32(&input) || !reader->ReadU32(&hidden)) return false;
-  *p = LstmParams(input, hidden);
-  return ReadMatrix(reader, &p->wx) && ReadMatrix(reader, &p->wh) &&
-         reader->ReadFloatVec(&p->b);
-}
-
-void WriteVocab(BinaryWriter* writer, const text::Vocab& vocab) {
-  std::vector<std::string> words;
-  words.reserve(vocab.size());
-  for (size_t i = 0; i < vocab.size(); ++i) {
-    words.emplace_back(vocab.Word(static_cast<int32_t>(i)));
-  }
-  writer->WriteStringVec(words);
-}
-
-bool ReadVocab(BinaryReader* reader, text::Vocab* vocab) {
-  std::vector<std::string> words;
-  if (!reader->ReadStringVec(&words)) return false;
-  *vocab = text::Vocab();  // already contains <unk> at id 0
-  vocab->Reserve(words.size() + 1);
-  for (const std::string& word : words) vocab->GetOrAdd(word);
-  return true;
-}
-
-}  // namespace
-
-Status BiLstmTagger::Save(const std::string& path) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("BiLSTM: saving an untrained model");
-  }
-  BinaryWriter writer(path, kLstmMagic, kLstmVersion);
-  writer.WriteI32(options_.char_dim);
-  writer.WriteI32(options_.char_hidden);
-  writer.WriteI32(options_.word_dim);
-  writer.WriteI32(options_.word_hidden);
-  writer.WriteStringVec(labels_);
-  WriteVocab(&writer, word_vocab_);
-  WriteVocab(&writer, char_vocab_);
-  WriteMatrix(&writer, char_emb_);
-  WriteMatrix(&writer, word_emb_);
-  WriteLstmParams(&writer, char_fwd_);
-  WriteLstmParams(&writer, char_bwd_);
-  WriteLstmParams(&writer, word_fwd_);
-  WriteLstmParams(&writer, word_bwd_);
-  WriteMatrix(&writer, out_w_);
-  writer.WriteFloatVec(out_b_);
-  return writer.Finish();
-}
-
-Status BiLstmTagger::Load(const std::string& path) {
-  BinaryReader reader(path, kLstmMagic, kLstmVersion);
-  if (!reader.ok()) return reader.status();
-  int32_t char_dim = 0, char_hidden = 0, word_dim = 0, word_hidden = 0;
-  if (!reader.ReadI32(&char_dim) || !reader.ReadI32(&char_hidden) ||
-      !reader.ReadI32(&word_dim) || !reader.ReadI32(&word_hidden) ||
-      !reader.ReadStringVec(&labels_) || !ReadVocab(&reader, &word_vocab_) ||
-      !ReadVocab(&reader, &char_vocab_) ||
-      !ReadMatrix(&reader, &char_emb_) || !ReadMatrix(&reader, &word_emb_) ||
-      !ReadLstmParams(&reader, &char_fwd_) ||
-      !ReadLstmParams(&reader, &char_bwd_) ||
-      !ReadLstmParams(&reader, &word_fwd_) ||
-      !ReadLstmParams(&reader, &word_bwd_) ||
-      !ReadMatrix(&reader, &out_w_) || !reader.ReadFloatVec(&out_b_)) {
-    return reader.status().ok()
-               ? Status::Internal("BiLSTM: malformed model file")
-               : reader.status();
-  }
-  options_.char_dim = char_dim;
-  options_.char_hidden = char_hidden;
-  options_.word_dim = word_dim;
-  options_.word_hidden = word_hidden;
-  label_ids_.clear();
-  for (size_t i = 0; i < labels_.size(); ++i) {
-    label_ids_[labels_[i]] = static_cast<int>(i);
-  }
-  trained_ = true;
-  return Status::Ok();
 }
 
 }  // namespace pae::lstm

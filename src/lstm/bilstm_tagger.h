@@ -69,12 +69,6 @@ class BiLstmTagger : public text::SequenceTagger {
       util::ThreadPool* pool = nullptr) const;
   std::string Name() const override { return "bilstm"; }
 
-  /// Persists the trained network (vocabularies, labels, all weight
-  /// matrices) to `path`.
-  Status Save(const std::string& path) const;
-  /// Restores a model previously written by Save.
-  Status Load(const std::string& path);
-
   /// Mean training loss (per token) of the final epoch.
   double final_epoch_loss() const { return final_epoch_loss_; }
   /// Mean per-token training loss of every epoch, in order.
@@ -83,6 +77,9 @@ class BiLstmTagger : public text::SequenceTagger {
   bool trained() const { return trained_; }
 
  private:
+  /// Test-only reader of the trained fields (tests/lstm_test.cc).
+  friend class BiLstmTaggerTestPeer;
+
   struct CharBatch;      // one equal-char-length panel of tokens
   struct SentenceBatch;  // forward state of S equal-length sentences
 

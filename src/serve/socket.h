@@ -9,8 +9,8 @@
 namespace pae::serve {
 
 /// Hard ceiling on one frame's payload (64 MiB). Deliberately far below
-/// util's kMaxSerialElements: a length word at or above this — the
-/// corrupt/adversarial range the protocol tests sweep — is rejected
+/// util/wire.h's kMaxSerialElements: a length word at or above this —
+/// the corrupt/adversarial range the protocol tests sweep — is rejected
 /// before any allocation happens.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 26;
 
@@ -63,7 +63,7 @@ Status ReadFull(const Fd& fd, void* data, size_t size);
 Status WriteFull(const Fd& fd, const void* data, size_t size);
 
 /// Frame IO: a u32 little-endian payload length followed by the
-/// payload. ReadFrame mirrors BinaryReader's corrupt-length discipline:
+/// payload. ReadFrame mirrors WireReader's corrupt-length discipline:
 /// a length word above `max_bytes` fails with OutOfRange before any
 /// allocation, EOF between frames is kNotFound, EOF inside a frame is
 /// kOutOfRange.

@@ -48,8 +48,8 @@ class Vocab {
   size_t size() const { return words_.size(); }
 
   /// Pre-sizes for `expected_words` total words (the "<unk>" sentinel
-  /// counts). Bulk builders with a known final size (model load paths,
-  /// post-frequency-cut loops) skip the rehash storm entirely.
+  /// counts). Bulk builders with a known final size (post-frequency-cut
+  /// loops) skip the rehash storm entirely.
   void Reserve(size_t expected_words) { words_.Reserve(expected_words); }
 
  private:

@@ -5,19 +5,29 @@
 #include <string>
 #include <string_view>
 
-#include "util/serial.h"
 #include "util/status.h"
+
+namespace pae {
+
+/// Hard ceiling on the element count of any serialized string (2^28).
+/// The reader rejects corrupt length words above it instead of
+/// attempting an absurd allocation, and the writer refuses to emit a
+/// string it knows the reader could never accept — which also rules
+/// out the silent size_t → uint32_t length truncation a >4 GiB payload
+/// would otherwise suffer.
+inline constexpr uint32_t kMaxSerialElements = 1u << 28;
+
+}  // namespace pae
 
 namespace pae::util {
 
-/// In-memory counterparts of BinaryWriter/BinaryReader for wire frames:
-/// fixed-width little-endian scalars and u32-length-prefixed strings
-/// appended to / parsed from a byte buffer instead of a file stream.
-/// They share BinaryWriter/BinaryReader's error discipline — every
-/// failure latches a non-Ok status, later calls become no-ops, and a
-/// corrupt payload can never decode back as Ok — and serial.h's
-/// kMaxSerialElements bound on every length word, so a hostile frame
-/// cannot request an absurd allocation.
+/// Wire-frame serialization: fixed-width little-endian scalars and
+/// u32-length-prefixed strings appended to / parsed from a byte buffer.
+/// Errors latch — the first failure sets a non-Ok status, later calls
+/// become no-ops and never replace it, and a corrupt payload can never
+/// decode back as Ok — and every length word is bounded by
+/// kMaxSerialElements, so a hostile frame cannot request an absurd
+/// allocation.
 class WireWriter {
  public:
   WireWriter() = default;

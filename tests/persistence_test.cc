@@ -1,6 +1,5 @@
-// Serialization: BinaryWriter/Reader primitives, the BiLSTM Save/Load
-// round-trip, the CRF `.paez` artifact's rejection of corrupt files,
-// and the on-disk corpus layout.
+// Persistence: saving a CRF model with its accepted pairs, the `.paez`
+// artifact's rejection of corrupt files, and the on-disk corpus layout.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +13,8 @@
 #include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
-#include "lstm/bilstm_tagger.h"
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/serial.h"
 
 namespace pae {
 namespace {
@@ -26,229 +23,6 @@ namespace fs = std::filesystem;
 
 std::string TempPath(const std::string& name) {
   return (fs::temp_directory_path() / ("pae_test_" + name)).string();
-}
-
-// ---------------- binary primitives ----------------
-
-TEST(SerialTest, ScalarAndVectorRoundTrip) {
-  const std::string path = TempPath("scalars.bin");
-  {
-    BinaryWriter writer(path, 0xABCD0001, 3);
-    writer.WriteU32(42);
-    writer.WriteI32(-7);
-    writer.WriteU64(1ULL << 40);
-    writer.WriteDouble(3.25);
-    writer.WriteFloat(-1.5f);
-    writer.WriteString("重量=5kg");
-    writer.WriteDoubleVec({1.0, 2.0, 3.0});
-    writer.WriteFloatVec({0.5f});
-    writer.WriteStringVec({"a", "", "長い文字列"});
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  BinaryReader reader(path, 0xABCD0001, 3);
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  uint32_t u32 = 0;
-  int32_t i32 = 0;
-  uint64_t u64 = 0;
-  double d = 0;
-  float f = 0;
-  std::string s;
-  std::vector<double> dv;
-  std::vector<float> fv;
-  std::vector<std::string> sv;
-  EXPECT_TRUE(reader.ReadU32(&u32));
-  EXPECT_TRUE(reader.ReadI32(&i32));
-  EXPECT_TRUE(reader.ReadU64(&u64));
-  EXPECT_TRUE(reader.ReadDouble(&d));
-  EXPECT_TRUE(reader.ReadFloat(&f));
-  EXPECT_TRUE(reader.ReadString(&s));
-  EXPECT_TRUE(reader.ReadDoubleVec(&dv));
-  EXPECT_TRUE(reader.ReadFloatVec(&fv));
-  EXPECT_TRUE(reader.ReadStringVec(&sv));
-  EXPECT_EQ(u32, 42u);
-  EXPECT_EQ(i32, -7);
-  EXPECT_EQ(u64, 1ULL << 40);
-  EXPECT_EQ(d, 3.25);
-  EXPECT_EQ(f, -1.5f);
-  EXPECT_EQ(s, "重量=5kg");
-  EXPECT_EQ(dv, (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_EQ(sv, (std::vector<std::string>{"a", "", "長い文字列"}));
-  std::remove(path.c_str());
-}
-
-TEST(SerialTest, BadMagicRejected) {
-  const std::string path = TempPath("magic.bin");
-  {
-    BinaryWriter writer(path, 0x11111111, 1);
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  BinaryReader reader(path, 0x22222222, 1);
-  EXPECT_FALSE(reader.ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerialTest, WrongVersionRejected) {
-  const std::string path = TempPath("version.bin");
-  {
-    BinaryWriter writer(path, 0x11111111, 1);
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  BinaryReader reader(path, 0x11111111, 2);
-  EXPECT_FALSE(reader.ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerialTest, TruncatedFileFailsGracefully) {
-  const std::string path = TempPath("trunc.bin");
-  {
-    BinaryWriter writer(path, 0x11111111, 1);
-    writer.WriteU32(1234);
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  fs::resize_file(path, 9);  // header (8) + 1 byte
-  BinaryReader reader(path, 0x11111111, 1);
-  ASSERT_TRUE(reader.ok());
-  uint32_t v = 0;
-  EXPECT_FALSE(reader.ReadU32(&v));
-  std::remove(path.c_str());
-}
-
-TEST(SerialTest, MissingFileIsNotFound) {
-  BinaryReader reader(TempPath("does_not_exist.bin"), 1, 1);
-  EXPECT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kNotFound);
-}
-
-// ---------------- corrupt length words & silent failures ----------------
-
-// Every BinaryReader failure must surface through status(), not only
-// through the bool return — callers that forward reader.status() (model
-// Load functions) must never report Ok for a corrupt file.
-
-TEST(SerialTest, TruncatedReadLatchesNonOkStatus) {
-  const std::string path = TempPath("trunc_status.bin");
-  {
-    BinaryWriter writer(path, 0x11111111, 1);
-    writer.WriteU32(1234);
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  fs::resize_file(path, 9);
-  BinaryReader reader(path, 0x11111111, 1);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_TRUE(reader.status().ok());
-  uint32_t v = 0;
-  EXPECT_FALSE(reader.ReadU32(&v));
-  EXPECT_FALSE(reader.ok());
-  EXPECT_FALSE(reader.status().ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kOutOfRange);
-  std::remove(path.c_str());
-}
-
-TEST(SerialTest, OversizeLengthWordFailsEveryContainerReader) {
-  // A corrupt length word above kMaxSerialElements must fail the read
-  // AND latch a non-Ok status — this was the silent-failure bug: the
-  // read returned false but ok()/status() still claimed success.
-  const std::string path = TempPath("oversize_len.bin");
-  {
-    BinaryWriter writer(path, 0x11111111, 1);
-    writer.WriteU32(kMaxSerialElements + 1);  // bogus length word
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  const auto expect_fails = [&](auto read_fn) {
-    BinaryReader reader(path, 0x11111111, 1);
-    ASSERT_TRUE(reader.ok());
-    EXPECT_FALSE(read_fn(reader));
-    EXPECT_FALSE(reader.ok());
-    ASSERT_FALSE(reader.status().ok());
-    EXPECT_EQ(reader.status().code(), StatusCode::kOutOfRange);
-  };
-  expect_fails([](BinaryReader& r) {
-    std::string s;
-    return r.ReadString(&s);
-  });
-  expect_fails([](BinaryReader& r) {
-    std::vector<double> v;
-    return r.ReadDoubleVec(&v);
-  });
-  expect_fails([](BinaryReader& r) {
-    std::vector<float> v;
-    return r.ReadFloatVec(&v);
-  });
-  expect_fails([](BinaryReader& r) {
-    std::vector<std::string> v;
-    return r.ReadStringVec(&v);
-  });
-  std::remove(path.c_str());
-}
-
-TEST(SerialTest, MidVectorEofLatchesNonOkStatus) {
-  const std::string path = TempPath("mid_vector_eof.bin");
-  {
-    BinaryWriter writer(path, 0x11111111, 1);
-    writer.WriteDoubleVec({1, 2, 3, 4, 5, 6, 7, 8});
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  // Header (8) + length word (4) + 3.5 doubles: EOF mid-payload.
-  fs::resize_file(path, 8 + 4 + 28);
-  BinaryReader reader(path, 0x11111111, 1);
-  ASSERT_TRUE(reader.ok());
-  std::vector<double> v;
-  EXPECT_FALSE(reader.ReadDoubleVec(&v));
-  EXPECT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kOutOfRange);
-  std::remove(path.c_str());
-}
-
-TEST(SerialTest, MidStringVecEofLatchesNonOkStatus) {
-  const std::string path = TempPath("mid_stringvec_eof.bin");
-  size_t full_size = 0;
-  {
-    BinaryWriter writer(path, 0x11111111, 1);
-    writer.WriteStringVec({"first", "second", "third"});
-    ASSERT_TRUE(writer.Finish().ok());
-    full_size = static_cast<size_t>(fs::file_size(path));
-  }
-  fs::resize_file(path, full_size - 4);  // cut into the last string
-  BinaryReader reader(path, 0x11111111, 1);
-  ASSERT_TRUE(reader.ok());
-  std::vector<std::string> v;
-  EXPECT_FALSE(reader.ReadStringVec(&v));
-  EXPECT_FALSE(reader.ok());
-  EXPECT_FALSE(reader.status().ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerialTest, WriterRefusesOversizeContainers) {
-  // The writer shares the reader's element bound, so a container whose
-  // length word would be unreadable (or, at > 4 GiB, silently truncated
-  // from size_t to uint32_t) is refused up front and Finish() reports it.
-  const std::string path = TempPath("oversize_write.bin");
-  {
-    BinaryWriter writer(path, 0x11111111, 1);
-    const std::string huge(static_cast<size_t>(kMaxSerialElements) + 1, 'x');
-    writer.WriteString(huge);
-    EXPECT_FALSE(writer.ok());
-    const Status finish = writer.Finish();
-    ASSERT_FALSE(finish.ok());
-    EXPECT_EQ(finish.code(), StatusCode::kOutOfRange);
-  }
-  // Nothing beyond the header may have been written for the refused
-  // container — a partial/truncated length word on disk would defeat
-  // the point.
-  EXPECT_LE(fs::file_size(path), 8u);
-  std::remove(path.c_str());
-}
-
-TEST(SerialTest, WriterOversizeErrorLatchesFirstError) {
-  const std::string path = TempPath("oversize_latch.bin");
-  BinaryWriter writer(path, 0x11111111, 1);
-  const std::string huge(static_cast<size_t>(kMaxSerialElements) + 1, 'x');
-  writer.WriteString(huge);
-  writer.WriteString("small");  // later valid writes don't clear the error
-  const Status finish = writer.Finish();
-  ASSERT_FALSE(finish.ok());
-  EXPECT_EQ(finish.code(), StatusCode::kOutOfRange);
-  std::remove(path.c_str());
 }
 
 // ---------------- model round-trips ----------------
@@ -552,25 +326,6 @@ TEST(PaezCorruptionTest, MetaDimensionMismatchRejected) {
   });
   auto artifact = core::ModelArtifact::Open(path);
   ASSERT_FALSE(artifact.ok());
-  std::remove(path.c_str());
-}
-
-TEST(PersistenceTest, BiLstmSaveLoadPredictsIdentically) {
-  lstm::BiLstmOptions options;
-  options.epochs = 4;
-  options.seed = 3;
-  lstm::BiLstmTagger original(options);
-  ASSERT_TRUE(original.Train(TinyTrainingData()).ok());
-  const std::string path = TempPath("model.lstm");
-  ASSERT_TRUE(original.Save(path).ok());
-
-  lstm::BiLstmTagger restored;
-  ASSERT_TRUE(restored.Load(path).ok());
-
-  text::LabeledSequence probe;
-  probe.tokens = {"重量", "は", "3", "kg", "です"};
-  probe.pos = {"NN", "PRT", "NUM", "UNIT", "VB"};
-  EXPECT_EQ(restored.Predict(probe), original.Predict(probe));
   std::remove(path.c_str());
 }
 

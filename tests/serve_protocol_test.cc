@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,7 +27,6 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/socket.h"
-#include "util/serial.h"
 #include "util/wire.h"
 
 namespace pae {
@@ -149,6 +149,30 @@ TEST(WireTest, OversizeStringLengthRejectedBeforeAllocation) {
   EXPECT_FALSE(reader.GetString(&s));
   EXPECT_EQ(reader.status().code(), StatusCode::kOutOfRange);
   EXPECT_TRUE(s.empty());
+}
+
+TEST(WireTest, WriterRefusesOversizeStringAndKeepsFirstError) {
+  // One buffer serves both oversize views: kMaxSerialElements + 1 and
+  // + 2 bytes, so the two errors carry different sizes.
+  const std::string huge(static_cast<size_t>(kMaxSerialElements) + 2, 'x');
+  const std::string_view first(huge.data(), huge.size() - 1);
+  util::WireWriter writer;
+  writer.PutU8(7);
+  writer.PutString(first);
+  // Nothing of the refused string reaches the buffer, not even its
+  // length word, so no truncated length can go out on the wire.
+  EXPECT_EQ(writer.data(), std::string(1, '\x07'));
+  ASSERT_FALSE(writer.ok());
+  EXPECT_EQ(writer.status().code(), StatusCode::kOutOfRange);
+  const std::string first_error = writer.status().ToString();
+
+  writer.PutString(huge);
+  writer.PutString("small");
+  EXPECT_EQ(writer.data(), std::string(1, '\x07'));
+  const Status finish = writer.Finish();
+  ASSERT_FALSE(finish.ok());
+  EXPECT_EQ(finish.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(finish.ToString(), first_error);
 }
 
 TEST(WireTest, TrailingBytesFailExpectEnd) {
