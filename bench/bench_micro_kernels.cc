@@ -463,7 +463,6 @@ void BM_CrfObjective(benchmark::State& state) {
       static_cast<size_t>(state.range(0)), 200);
   crf::CrfOptions options;
   options.max_iterations = 1;
-  options.trainer = crf::CrfTrainer::kAdagrad;
   crf::CrfTagger tagger(options);
   if (!tagger.Train(data).ok()) {
     state.SkipWithError("CRF training failed");

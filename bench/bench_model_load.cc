@@ -92,7 +92,7 @@ uint64_t SplitMix64(uint64_t* state) {
 /// Every token is distinct and the template turns each into five word
 /// features (w[-2..2]), so num_features / 5 tokens give about
 /// `num_features` features, plus ~8% PoS-window ones.
-/// AdaGrad for one epoch: the weights need a trained model's layout, not
+/// One OWL-QN iteration: the weights need a trained model's layout, not
 /// its accuracy.
 int MakeModel(const std::string& path, int num_features, int num_labels,
               uint64_t seed) {
@@ -126,7 +126,6 @@ int MakeModel(const std::string& path, int num_features, int num_labels,
   }
 
   pae::crf::CrfOptions options;
-  options.trainer = pae::crf::CrfTrainer::kAdagrad;
   options.max_iterations = 1;
   pae::crf::CrfTagger tagger(options);
   const pae::Status trained = tagger.Train(data);

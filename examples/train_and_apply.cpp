@@ -6,13 +6,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <utility>
 
 #include "core/apply.h"
 #include "core/bootstrap.h"
 #include "core/engine.h"
 #include "core/eval.h"
 #include "core/ingest.h"
-#include "core/model_artifact.h"
 #include "crf/crf_tagger.h"
 #include "datagen/generator.h"
 #include "util/logging.h"
@@ -44,22 +44,29 @@ int main() {
             << " triples, " << trained.value().known_pair_keys.size()
             << " accepted <attribute, value> pairs\n";
 
-  // ---- compact, then persist as a `.paez` artifact ----
+  // ---- persist as a `.paez` artifact plus its accepted-pairs sidecar ----
   const std::string model_path =
       (std::filesystem::temp_directory_path() / "backpacks.paez").string();
+  const std::string pairs_path = model_path + ".pairs";
+  auto remove_model = [&] {
+    std::remove(model_path.c_str());
+    std::remove(pairs_path.c_str());
+  };
   auto* crf = dynamic_cast<crf::CrfTagger*>(
       trained.value().final_tagger.get());
   if (crf == nullptr) {
     std::cerr << "the final model is not a CRF\n";
     return 1;
   }
-  const size_t dropped = crf->Compact();  // shed L1 zero-weight features
-  if (!core::PackModelArtifact(*crf, model_path).ok()) {
-    std::cerr << "could not persist the model\n";
+  const Status saved =
+      core::SaveCrfModel(*crf, trained.value().known_pair_keys, model_path);
+  if (!saved.ok()) {
+    std::cerr << "could not persist the model: " << saved.ToString() << "\n";
+    remove_model();
     return 1;
   }
-  std::cout << "persisted " << model_path << " (compacted " << dropped
-            << " dead features)\n";
+  std::cout << "persisted " << model_path << " ("
+            << crf->model().num_features() << " features)\n";
 
   // ---- fresh crawl: load + apply ----
   datagen::GeneratorConfig fresh = reference;
@@ -72,13 +79,14 @@ int main() {
 
   auto loaded = core::LoadCrfModel(model_path);
   if (!loaded.ok()) {
-    std::cerr << "could not load the model\n";
+    remove_model();
+    std::cerr << "could not load the model: " << loaded.status().ToString()
+              << "\n";
     return 1;
   }
   core::ApplyOptions apply;
   apply.min_span_confidence = 0.5;
-  apply.accepted_pairs.insert(trained.value().known_pair_keys.begin(),
-                              trained.value().known_pair_keys.end());
+  apply.accepted_pairs = std::move(loaded.value().accepted_pairs);
   std::vector<core::Triple> triples =
       core::ExtractWithModel(*loaded.value().tagger, corpus_b, apply);
 
@@ -91,6 +99,6 @@ int main() {
     std::cout << "  <" << triples[i].product_id << ", "
               << triples[i].attribute << ", " << triples[i].value << ">\n";
   }
-  std::remove(model_path.c_str());
+  remove_model();
   return 0;
 }

@@ -30,18 +30,6 @@ const char* ModelTypeName(ModelType type) {
   return "unknown";
 }
 
-std::vector<AttributeValue> PipelineResult::FinalPairs() const {
-  std::unordered_set<std::string> seen;
-  std::vector<AttributeValue> pairs;
-  for (const Triple& t : final_triples()) {
-    const std::string key = PairKey(t.attribute, NormalizeValue(t.value));
-    if (seen.insert(key).second) {
-      pairs.push_back(AttributeValue{t.attribute, t.value});
-    }
-  }
-  return pairs;
-}
-
 Pipeline::Pipeline(PipelineConfig config) : config_(std::move(config)) {}
 
 std::unique_ptr<text::SequenceTagger> Pipeline::MakeTagger(

@@ -105,9 +105,6 @@ struct PipelineResult {
   const std::vector<Triple>& final_triples() const {
     return triples_after.empty() ? seed_triples : triples_after.back();
   }
-
-  /// Distinct <attribute, value> pairs among the final triples.
-  std::vector<AttributeValue> FinalPairs() const;
 };
 
 /// End-to-end bootstrapping extractor (Fig. 1 / Fig. 2): seed → (tag →

@@ -100,20 +100,6 @@ class CrfModel {
                                     : features_.key(id);
   }
 
-  /// Pre-sizes the dictionaries for bulk builders with a known final
-  /// size (Train's min-count survivor remap, Load, Compact), skipping
-  /// the incremental rehash storm. Illegal on a packed model — the
-  /// table is read-only mapped memory.
-  void ReserveFeatures(size_t expected) {
-    PAE_CHECK(!packed_features_.bound())
-        << "ReserveFeatures on a packed model";
-    features_.Reserve(expected);
-  }
-  void ReserveLabels(size_t expected) {
-    labels_.reserve(expected);
-    label_ids_.Reserve(expected);
-  }
-
   /// Switches the feature dictionary to a zero-copy packed table (an
   /// mmap'ed model artifact section). The view's probe layout came from
   /// FlatStringInterner::ExportPacked, so LookupFeature returns exactly

@@ -1,10 +1,7 @@
 #include "crf/crf_tagger.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 
-#include "util/interner.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -133,14 +130,11 @@ Status CrfTagger::TrainFrom(const std::vector<text::LabeledSequence>& data,
   model_ = CrfModel();
   model_.AddLabel(text::kOutsideLabel);  // id 0
 
-  // Single extraction pass: every feature string is encoded once,
-  // interned into a training-set universe, and the per-position
-  // universe ids kept — the count pass and the compile pass read the
-  // same buffer instead of re-extracting (the old pipeline ran the
-  // string template twice per sequence).
-  util::FlatStringInterner universe;
-  std::vector<int64_t> counts;
-  std::vector<CompiledSequence> compiled;  // universe ids until remapped
+  // Single extraction pass: every feature string is encoded once and
+  // interned straight into the model, so model feature ids follow
+  // first-occurrence order in the training set — a pure function of the
+  // data. Every training feature is kept (CRFsuite's default).
+  std::vector<CompiledSequence> compiled;
   compiled.reserve(data.size());
   FeatureEncoder encoder(options_.features);
   for (const auto& seq : data) {
@@ -148,17 +142,13 @@ Status CrfTagger::TrainFrom(const std::vector<text::LabeledSequence>& data,
     if (!seq.HasLabels()) {
       return Status::InvalidArgument("CRF training sequence without labels");
     }
-    for (const std::string& label : seq.labels) model_.AddLabel(label);
     CompiledSequence cs;
     cs.features.resize(seq.tokens.size());
     for (auto& feats : cs.features) {
       feats.reserve(static_cast<size_t>(4 * options_.features.window + 4));
     }
     encoder.Encode(seq, [&](size_t t, std::string_view feature) {
-      const int id = universe.Intern(feature);
-      if (static_cast<size_t>(id) == counts.size()) counts.push_back(0);
-      ++counts[static_cast<size_t>(id)];
-      cs.features[t].push_back(id);
+      cs.features[t].push_back(model_.AddFeature(feature));
     });
     cs.labels.reserve(seq.labels.size());
     for (const std::string& label : seq.labels) {
@@ -166,35 +156,8 @@ Status CrfTagger::TrainFrom(const std::vector<text::LabeledSequence>& data,
     }
     compiled.push_back(std::move(cs));
   }
-
-  // Frequency cut, then remap universe ids to final model ids. Model
-  // feature ids follow first-occurrence order in the training set — a
-  // pure function of the data, unlike the unordered_map iteration order
-  // the string pipeline used.
-  std::vector<int32_t> remap(universe.size(), -1);
-  size_t survivors = 0;
-  for (size_t id = 0; id < universe.size(); ++id) {
-    if (counts[id] >= options_.min_feature_count) ++survivors;
-  }
-  model_.ReserveFeatures(survivors);
-  for (size_t id = 0; id < universe.size(); ++id) {
-    if (counts[id] >= options_.min_feature_count) {
-      remap[id] =
-          model_.AddFeature(universe.key(static_cast<int>(id)));
-    }
-  }
   if (model_.num_features() == 0) {
-    return Status::FailedPrecondition("CRF: no features survived the cut");
-  }
-  for (CompiledSequence& cs : compiled) {
-    for (std::vector<int>& feats : cs.features) {
-      size_t kept = 0;
-      for (int id : feats) {
-        const int32_t mapped = remap[static_cast<size_t>(id)];
-        if (mapped >= 0) feats[kept++] = mapped;
-      }
-      feats.resize(kept);
-    }
+    return Status::FailedPrecondition("CRF: training set has no features");
   }
 
   const size_t L = model_.num_labels();
@@ -285,41 +248,11 @@ Status CrfTagger::TrainFrom(const std::vector<text::LabeledSequence>& data,
     return nll;
   };
 
-  if (options_.trainer == CrfTrainer::kOwlqn) {
-    OwlqnOptions opts;
-    opts.max_iterations = options_.max_iterations;
-    opts.epsilon = options_.epsilon;
-    opts.l1_weight = options_.c1;
-    PAE_RETURN_IF_ERROR(MinimizeOwlqn(objective, opts, &weights_, &report_));
-  } else {
-    // Full-batch AdaGrad: per-coordinate step sizes shrink with the
-    // accumulated squared gradient, so frequent features settle while
-    // rare ones keep learning.
-    std::vector<double> grad(dim, 0.0);
-    std::vector<double> accum(dim, 1e-8);
-    double previous = objective(weights_, &grad);
-    report_ = OwlqnReport{};
-    for (int epoch = 0; epoch < options_.max_iterations; ++epoch) {
-      for (size_t i = 0; i < dim; ++i) {
-        accum[i] += grad[i] * grad[i];
-        weights_[i] -= options_.adagrad_learning_rate * grad[i] /
-                       std::sqrt(accum[i]);
-      }
-      const double current = objective(weights_, &grad);
-      report_.iterations = epoch + 1;
-      report_.final_objective = current;
-      report_.objective_history.push_back(current);
-      double grad_inf = 0;
-      for (double g : grad) grad_inf = std::max(grad_inf, std::fabs(g));
-      report_.grad_norm_history.push_back(grad_inf);
-      if (std::fabs(previous - current) <
-          options_.epsilon * std::max(1.0, std::fabs(current))) {
-        report_.converged = true;
-        break;
-      }
-      previous = current;
-    }
-  }
+  OwlqnOptions opts;
+  opts.max_iterations = options_.max_iterations;
+  opts.epsilon = options_.epsilon;
+  opts.l1_weight = options_.c1;
+  PAE_RETURN_IF_ERROR(MinimizeOwlqn(objective, opts, &weights_, &report_));
   // The weights feed every later bootstrap cycle through Viterbi and
   // Marginals; a NaN here would silently zero all confidences.
   PAE_DCHECK_FINITE_VEC(weights_)
@@ -390,54 +323,6 @@ text::SequenceTagger::ScoredPrediction CrfTagger::PredictScored(
     return out;
   }
   return ScoreCompiled(compiled);
-}
-
-size_t CrfTagger::Compact() {
-  // A packed tagger's dictionaries live in a read-only mapping; the
-  // artifact was compacted (or not) when it was packed.
-  if (!trained_ || packed_) return 0;
-  const size_t L = model_.num_labels();
-  const size_t F = model_.num_features();
-
-  std::vector<bool> keep(F, false);
-  size_t kept = 0;
-  for (size_t f = 0; f < F; ++f) {
-    for (size_t y = 0; y < L; ++y) {
-      if (weights_[f * L + y] != 0.0) {
-        keep[f] = true;
-        ++kept;
-        break;
-      }
-    }
-  }
-  if (kept == F) return 0;
-
-  CrfModel compacted;
-  compacted.ReserveLabels(L);
-  compacted.ReserveFeatures(kept);
-  for (const std::string& label : model_.labels()) {
-    compacted.AddLabel(label);
-  }
-  std::vector<double> new_weights;
-  new_weights.reserve(kept * L + L * L + 2 * L);
-  for (size_t f = 0; f < F; ++f) {
-    if (!keep[f]) continue;
-    compacted.AddFeature(model_.FeatureName(static_cast<int>(f)));
-    for (size_t y = 0; y < L; ++y) {
-      new_weights.push_back(weights_[f * L + y]);
-    }
-  }
-  // Transition + start + end blocks carry over verbatim.
-  for (size_t i = F * L; i < weights_.size(); ++i) {
-    new_weights.push_back(weights_[i]);
-  }
-  const size_t removed = F - kept;
-  model_ = std::move(compacted);
-  weights_ = std::move(new_weights);
-  weights_span_ = weights_;
-  PAE_CHECK_EQ(weights_.size(), model_.WeightDim());
-  generation_ = NextGeneration();
-  return removed;
 }
 
 Status CrfTagger::LoadPacked(PackedCrfModel packed) {

@@ -14,27 +14,16 @@
 
 namespace pae::crf {
 
-/// Training algorithm. The paper uses CRFsuite's default (L-BFGS with
-/// L1+L2 = OWL-QN); AdaGrad is provided as the scalable alternative
-/// CRFsuite also ships for large corpora.
-enum class CrfTrainer {
-  kOwlqn,
-  kAdagrad,
-};
-
 /// Training configuration. Defaults follow the paper's setup (§VI-D):
-/// L-BFGS with L1+L2 regularization and the standard CRFsuite-style
-/// feature template.
+/// CRFsuite's default trainer, L-BFGS with L1+L2 regularization
+/// (OWL-QN), over the standard CRFsuite-style feature template with
+/// every training feature kept.
 struct CrfOptions {
   FeatureConfig features;
-  CrfTrainer trainer = CrfTrainer::kOwlqn;
-  double c1 = 0.05;         // L1 coefficient (OWL-QN only)
+  double c1 = 0.05;         // L1 coefficient
   double c2 = 1.0;          // L2 coefficient
-  int max_iterations = 60;  // L-BFGS iterations / AdaGrad epochs
+  int max_iterations = 60;  // OWL-QN iterations
   double epsilon = 1e-3;
-  double adagrad_learning_rate = 0.5;
-  /// Features seen fewer times than this in training are dropped.
-  int min_feature_count = 1;
   /// Threads for the per-sequence NLL/gradient accumulation (0 = all
   /// hardware threads, negative clamps to 1). The gradient reduction is
   /// sharded by a fixed decomposition of the training set, so trained
@@ -90,11 +79,10 @@ class CrfTagger : public text::SequenceTagger {
   ScoredPrediction PredictScored(const CompiledSequence& compiled) const;
   std::string Name() const override { return "crf"; }
 
-  /// A stamp renewed whenever the model or weights change (successful
-  /// Train or LoadPacked, and a Compact that removed features), unique
-  /// across every tagger in the process: compiled-sequence caches key
-  /// their feature-id remaps on it, and the bootstrap tags each cycle
-  /// with a fresh tagger through one cache.
+  /// A stamp renewed whenever the model or weights change (a successful
+  /// Train or LoadPacked), unique across every tagger in the process:
+  /// compiled-sequence caches key their feature-id remaps on it, and the
+  /// bootstrap tags each cycle with a fresh tagger through one cache.
   uint64_t Generation() const { return generation_; }
 
   /// Binds the tagger to a packed model without copying: the feature
@@ -102,14 +90,8 @@ class CrfTagger : public text::SequenceTagger {
   /// artifact), so "loading" costs label strings only. Predictions are
   /// byte-identical to the trained tagger the artifact was packed from.
   Status LoadPacked(PackedCrfModel packed);
-  /// True when backed by a packed artifact (Compact unavailable).
+  /// True when backed by a packed artifact.
   bool packed() const { return packed_; }
-
-  /// Drops features whose weights are all exactly zero — OWL-QN's L1
-  /// term produces many — shrinking the model file and the prediction
-  /// feature lookups without changing any prediction. Returns the
-  /// number of features removed.
-  size_t Compact();
 
   /// Introspection for tests and diagnostics.
   const CrfOptions& options() const { return options_; }
@@ -117,8 +99,8 @@ class CrfTagger : public text::SequenceTagger {
   /// The owned weight vector — empty on a packed tagger; prefer
   /// weights_span() which is valid in both modes.
   const std::vector<double>& weights() const { return weights_; }
-  /// The weights inference runs over: the owned vector after
-  /// Train/Compact, the mapped section after LoadPacked.
+  /// The weights inference runs over: the owned vector after Train,
+  /// the mapped section after LoadPacked.
   std::span<const double> weights_span() const { return weights_span_; }
   const OwlqnReport& training_report() const { return report_; }
   bool trained() const { return trained_; }

@@ -9,6 +9,11 @@ namespace pae::crf {
 
 namespace {
 
+/// L-BFGS history size: the number of (s, y) pairs kept.
+constexpr size_t kMemory = 6;
+/// Maximum backtracking steps per line search.
+constexpr int kMaxLinesearch = 30;
+
 double L1Norm(const std::vector<double>& x) {
   double s = 0;
   for (double v : x) s += std::fabs(v);
@@ -62,7 +67,7 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
   const bool use_l1 = c > 0;
 
   std::vector<double> grad(n), pg(n), direction(n), x_new(n), grad_new(n);
-  // L-BFGS history: a ring of `memory` (s, y, rho) pairs, oldest at
+  // L-BFGS history: a ring of kMemory (s, y, rho) pairs, oldest at
   // `head`, plus one spare slot. Each candidate pair is written into the
   // spare, so a pair the curvature test rejects is simply overwritten
   // next time and an accepted one evicts the oldest by moving `head`.
@@ -75,13 +80,12 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
     double rho = 0;
     double sy = 0, yy = 0;
   };
-  const size_t memory = static_cast<size_t>(std::max(options.memory, 0));
-  std::vector<Pair> ring(memory + 1);
+  std::vector<Pair> ring(kMemory + 1);
   size_t head = 0, count = 0;
   auto pair_at = [&](size_t i) -> Pair& {
     return ring[(head + i) % ring.size()];
   };
-  std::vector<double> alpha(memory);
+  std::vector<double> alpha(kMemory);
 
   double f = objective(*x, &grad);
   if (!std::isfinite(f)) {
@@ -149,7 +153,7 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
     const double armijo_c = 1e-4;
     bool accepted = false;
     double obj_new = obj;
-    for (int ls = 0; ls < options.max_linesearch; ++ls) {
+    for (int ls = 0; ls < kMaxLinesearch; ++ls) {
       for (size_t k = 0; k < n; ++k) {
         x_new[k] = (*x)[k] + step * direction[k];
         if (use_l1) {
@@ -184,7 +188,7 @@ Status MinimizeOwlqn(const SmoothObjective& objective,
       next.rho = 1.0 / sy;
       next.sy = sy;
       next.yy = DotD(next.y, next.y);
-      if (count == memory) {
+      if (count == kMemory) {
         head = (head + 1) % ring.size();
       } else {
         ++count;

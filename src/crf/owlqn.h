@@ -19,13 +19,9 @@ struct OwlqnOptions {
   int max_iterations = 100;
   /// Convergence: ||pseudo-grad||_inf below this stops the optimizer.
   double epsilon = 1e-4;
-  /// L-BFGS history size.
-  int memory = 6;
   /// L1 coefficient (c1). 0 disables the orthant-wise machinery and the
   /// algorithm reduces to plain L-BFGS with backtracking line search.
   double l1_weight = 0.0;
-  /// Maximum backtracking steps per line search.
-  int max_linesearch = 30;
 };
 
 struct OwlqnReport {

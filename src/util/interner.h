@@ -86,7 +86,8 @@ class FlatStringInterner {
   /// Pre-sizes the slot table for `expected_keys` insertions: one
   /// up-front rehash instead of the O(log n) doubling storm a bulk
   /// build otherwise pays. Call it wherever the final size is known
-  /// (model load paths, survivor counts after a frequency cut).
+  /// (a vocabulary after its count cut, a cache rebuilt at its previous
+  /// size).
   void Reserve(size_t expected_keys);
 
   /// Current slot-table capacity (observability for Reserve call

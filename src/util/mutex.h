@@ -25,7 +25,6 @@ class PAE_CAPABILITY("mutex") Mutex {
 
   void Lock() PAE_ACQUIRE() { mu_.lock(); }
   void Unlock() PAE_RELEASE() { mu_.unlock(); }
-  bool TryLock() PAE_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -73,21 +73,6 @@ class Rng {
     return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
   }
 
-  /// Samples an index from unnormalized non-negative weights.
-  /// Returns weights.size()-1 if rounding leaves residual mass.
-  size_t SampleIndex(const std::vector<double>& weights) {
-    PAE_CHECK(!weights.empty());
-    double total = 0;
-    for (double w : weights) total += w;
-    PAE_CHECK_GT(total, 0);
-    double r = NextDouble() * total;
-    for (size_t i = 0; i < weights.size(); ++i) {
-      r -= weights[i];
-      if (r < 0) return i;
-    }
-    return weights.size() - 1;
-  }
-
   /// Picks a uniformly random element of `v` (must be non-empty).
   template <typename T>
   const T& Pick(const std::vector<T>& v) {
@@ -104,11 +89,6 @@ class Rng {
       std::swap((*v)[i], (*v)[j]);
     }
   }
-
-  /// Derives an independent child generator; useful for giving each
-  /// product / category its own stream so corpora are stable under
-  /// parameter changes elsewhere.
-  Rng Fork(uint64_t salt) { return Rng(NextU64() ^ (salt * 0x9e3779b9ULL)); }
 
  private:
   static uint64_t Rotl(uint64_t x, int k) {

@@ -584,36 +584,6 @@ TEST(CrfTaggerTest, UnknownFeaturesHandledAtPrediction) {
   EXPECT_EQ(labels.size(), 3u);  // never crashes, length preserved
 }
 
-TEST(CrfTaggerTest, AdagradTrainerLearnsSamePattern) {
-  CrfOptions options;
-  options.trainer = CrfTrainer::kAdagrad;
-  options.max_iterations = 80;
-  CrfTagger tagger(options);
-  ASSERT_TRUE(tagger.Train(PatternedData(120, 77)).ok());
-  text::LabeledSequence probe;
-  probe.tokens = {"重", "は", "7", "kg", "です"};
-  probe.pos = {"NN", "PRT", "NUM", "UNIT", "VB"};
-  std::vector<std::string> labels = tagger.Predict(probe);
-  EXPECT_EQ(labels[2], "B-重");
-  EXPECT_EQ(labels[3], "I-重");
-}
-
-TEST(CrfTaggerTest, AdagradObjectiveDecreases) {
-  CrfOptions few;
-  few.trainer = CrfTrainer::kAdagrad;
-  few.max_iterations = 2;
-  few.epsilon = 0;  // no early stop
-  CrfTagger short_run(few);
-  ASSERT_TRUE(short_run.Train(PatternedData(60, 88)).ok());
-
-  CrfOptions many = few;
-  many.max_iterations = 60;
-  CrfTagger long_run(many);
-  ASSERT_TRUE(long_run.Train(PatternedData(60, 88)).ok());
-  EXPECT_LT(long_run.training_report().final_objective,
-            short_run.training_report().final_objective);
-}
-
 TEST(CrfTaggerTest, L1SparsifiesWeights) {
   CrfOptions dense_options;
   dense_options.c1 = 0.0;

@@ -4,16 +4,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "crf/compiled_corpus.h"
 #include "crf/crf_model.h"
 #include "crf/crf_tagger.h"
 #include "crf/feature_extractor.h"
+#include "crf/owlqn.h"
 #include "text/labeled_sequence.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -135,27 +134,20 @@ TEST(FeaturePipelineTest, EncoderSurvivesConfigSwitches) {
 // ---------------- interned pipeline vs string pipeline ----------------
 
 /// The pre-interner training pipeline, reimplemented as the golden
-/// reference: two string extraction passes, unordered_map counting, and
-/// first-occurrence feature ids, followed by the same sharded AdaGrad
-/// loop the tagger runs. Kept deliberately naive.
+/// reference: two string extraction passes and first-occurrence feature
+/// ids, then OWL-QN over a dense, serially merged objective with the
+/// tagger's reduction shards. Kept deliberately naive.
 void TrainReferenceStringPipeline(
     const std::vector<text::LabeledSequence>& data, const CrfOptions& options,
     CrfModel* model, std::vector<double>* weights) {
   model->AddLabel("O");
-  std::unordered_map<std::string, int> counts;
-  std::vector<std::string> first_seen;
   for (const auto& seq : data) {
     for (const std::string& label : seq.labels) model->AddLabel(label);
     std::vector<std::vector<std::string>> feats;
     ExtractFeatures(seq, options.features, &feats);
     for (const auto& position : feats) {
-      for (const std::string& f : position) {
-        if (++counts[f] == 1) first_seen.push_back(f);
-      }
+      for (const std::string& f : position) model->AddFeature(f);
     }
-  }
-  for (const std::string& f : first_seen) {
-    if (counts[f] >= options.min_feature_count) model->AddFeature(f);
   }
   std::vector<CompiledSequence> compiled;
   for (const auto& seq : data) {
@@ -214,28 +206,17 @@ void TrainReferenceStringPipeline(
     }
     return nll;
   };
-  std::vector<double> grad(dim, 0.0);
-  std::vector<double> accum(dim, 1e-8);
-  double previous = objective(*weights, &grad);
-  for (int epoch = 0; epoch < options.max_iterations; ++epoch) {
-    for (size_t i = 0; i < dim; ++i) {
-      accum[i] += grad[i] * grad[i];
-      (*weights)[i] -=
-          options.adagrad_learning_rate * grad[i] / std::sqrt(accum[i]);
-    }
-    const double current = objective(*weights, &grad);
-    if (std::fabs(previous - current) <
-        options.epsilon * std::max(1.0, std::fabs(current))) {
-      break;
-    }
-    previous = current;
-  }
+  OwlqnOptions opts;
+  opts.max_iterations = options.max_iterations;
+  opts.epsilon = options.epsilon;
+  opts.l1_weight = options.c1;
+  OwlqnReport report;
+  ASSERT_TRUE(MinimizeOwlqn(objective, opts, weights, &report).ok());
 }
 
 TEST(FeaturePipelineTest, InternedPipelineMatchesStringPipeline) {
   const auto data = MakeTrainingSet(80);
   CrfOptions options;
-  options.trainer = CrfTrainer::kAdagrad;
   options.max_iterations = 15;
   options.threads = 1;
 
@@ -429,40 +410,6 @@ TEST(FeaturePipelineTest, CachedPredictionsIdenticalAcrossThreadCounts) {
   const auto serial = sweep(1);
   for (int threads : {2, 8}) {
     EXPECT_EQ(sweep(threads), serial) << "threads " << threads;
-  }
-}
-
-TEST(FeaturePipelineTest, CompactedModelKeepsCachedPredictions) {
-  const auto data = MakeTrainingSet(80);
-  CrfOptions options;  // OWL-QN default: L1 produces all-zero columns
-  options.max_iterations = 30;
-  CrfTagger tagger(options);
-  ASSERT_TRUE(tagger.Train(data).ok());
-
-  auto corpus = MakeCorpus(30, 83);
-  std::vector<const text::LabeledSequence*> refs;
-  for (const auto& seq : corpus) refs.push_back(&seq);
-  CompiledCorpus cache;
-  cache.Build(refs, tagger.options().features);
-  cache.Bind(tagger.model(), tagger.Generation());
-
-  std::vector<std::vector<std::string>> before(corpus.size());
-  CompiledSequence compiled;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    cache.Materialize(i, &compiled);
-    before[i] = tagger.PredictScored(compiled).labels;
-  }
-
-  const uint64_t generation_before = tagger.Generation();
-  const size_t removed = tagger.Compact();
-  if (removed > 0) {
-    EXPECT_GT(tagger.Generation(), generation_before);
-  }
-  cache.Bind(tagger.model(), tagger.Generation());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    cache.Materialize(i, &compiled);
-    EXPECT_EQ(tagger.PredictScored(compiled).labels, before[i])
-        << "sentence " << i;
   }
 }
 

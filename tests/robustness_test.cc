@@ -251,46 +251,6 @@ TEST(ThreadKnobTest, NegativeThreadsClampWhereNoStatusChannelExists) {
   EXPECT_EQ(corpus.pages.size(), category.corpus.pages.size());
 }
 
-// ---------------- CRF compaction ----------------
-
-TEST(CompactTest, DropsZeroFeaturesWithoutChangingPredictions) {
-  Rng rng(6);
-  std::vector<text::LabeledSequence> data;
-  for (int i = 0; i < 150; ++i) {
-    text::LabeledSequence seq;
-    const std::string v = std::to_string(rng.NextInt(1, 9));
-    seq.tokens = {"重量", "は", v, "kg", "です"};
-    seq.pos = {"NN", "PRT", "NUM", "UNIT", "VB"};
-    seq.labels = {"O", "O", "B-重量", "I-重量", "O"};
-    data.push_back(std::move(seq));
-  }
-  crf::CrfOptions options;
-  options.c1 = 1.0;  // strong L1 → many exact zeros
-  options.max_iterations = 40;
-  crf::CrfTagger tagger(options);
-  ASSERT_TRUE(tagger.Train(data).ok());
-
-  text::LabeledSequence probe;
-  probe.tokens = {"重量", "は", "6", "kg", "です"};
-  probe.pos = {"NN", "PRT", "NUM", "UNIT", "VB"};
-  const std::vector<std::string> before = tagger.Predict(probe);
-  const size_t features_before = tagger.model().num_features();
-
-  const size_t removed = tagger.Compact();
-  EXPECT_GT(removed, 0u);
-  EXPECT_EQ(tagger.model().num_features() + removed, features_before);
-  EXPECT_EQ(tagger.Predict(probe), before);
-
-  // Compacting twice is a no-op.
-  EXPECT_EQ(tagger.Compact(), 0u);
-  EXPECT_EQ(tagger.Predict(probe), before);
-}
-
-TEST(CompactTest, UntrainedCompactIsNoop) {
-  crf::CrfTagger tagger;
-  EXPECT_EQ(tagger.Compact(), 0u);
-}
-
 // ---------------- evaluator oracle metrics ----------------
 
 TEST(OracleTest, RecallCountsDistinctCorrectTriples) {
